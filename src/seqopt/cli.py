@@ -2,16 +2,23 @@
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 3 I/O error.  Identical invocations produce byte-identical output.
+``triangle`` streams its rows to the output as they are computed; ``--out``
+is written through a temporary file in the target's directory that replaces
+the target only once the command has finished.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import factorial, prod
+from operator import itemgetter
 
 import mpmath
 
@@ -22,7 +29,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Test hook: verification and rendering build triangles through this factory.
+# Test hook: ``verify`` and ``stirling`` build their triangles through this
+# factory; ``triangle`` streams rows from numbers.decimal_rows instead.
 _TRIANGLE_FACTORY = numbers.triangle
 
 __all__ = [
@@ -55,10 +63,54 @@ def triangle_entries(tri: numbers.Triangle) -> list[tuple[int, int, int]]:
             for m, v in sorted(tri.rows[n].items())]
 
 
+# Each format is a header, one chunk per row and a trailer.  A row chunk
+# takes n and the row's (m, value) cells in increasing m; rows arrive in
+# order starting at n = 1.
+
+def _json_head(mask: numbers.Mask) -> str:
+    return f'{{\n  "mask": "{mask}",\n  "k": {mask.k},\n  "rows": {{'
+
+
+def _json_row(n: int, cells) -> str:
+    # Reproduces json.dumps(indent=2) of {"n": {"m": "value", ...}}: every
+    # key and value is a decimal digit string, so nothing needs escaping.
+    body = ",\n".join(f'      "{m}": "{v}"' for m, v in cells)
+    row = f"{{\n{body}\n    }}" if body else "{}"
+    return f'{"" if n == 1 else ","}\n    "{n}": {row}'
+
+
+def _csv_row(n: int, cells) -> str:
+    return "".join(f"{n},{m},{v}\n" for m, v in cells)
+
+
+def _plain_row(n: int, cells) -> str:
+    return f"n={n}  " + "  ".join(f"{m}:{v}" for m, v in cells) + "\n"
+
+
+_FORMATS = {
+    "csv": (lambda mask: "n,m,value\n", _csv_row, ""),
+    "json": (_json_head, _json_row, "\n  }\n}\n"),
+    "plain": (lambda mask: f"mask {mask} k {mask.k}\n", _plain_row, ""),
+}
+
+
+def _chunks(fmt: str, mask: numbers.Mask | None, rows):
+    """Text of one triangle in ``fmt``, piece by piece; rows yields (n, cells)."""
+    head, row, tail = _FORMATS[fmt]
+    yield head(mask)
+    for n, cells in rows:
+        yield row(n, cells)
+    yield tail
+
+
+def _triangle_rows(tri: numbers.Triangle):
+    return ((n, sorted(tri.rows[n].items())) for n in range(1, tri.max_n + 1))
+
+
 def render_csv(entries) -> str:
-    lines = ["n,m,value"]
-    lines += [f"{n},{m},{v}" for n, m, v in entries]
-    return "\n".join(lines) + "\n"
+    rows = ((n, [(m, v) for _, m, v in group])
+            for n, group in groupby(entries, key=itemgetter(0)))
+    return "".join(_chunks("csv", None, rows))
 
 
 def parse_csv(text: str) -> list[tuple[int, int, int]]:
@@ -73,13 +125,7 @@ def parse_csv(text: str) -> list[tuple[int, int, int]]:
 
 
 def render_json(tri: numbers.Triangle) -> str:
-    payload = {
-        "mask": str(tri.mask),
-        "k": tri.mask.k,
-        "rows": {str(n): {str(m): str(v) for m, v in sorted(tri.rows[n].items())}
-                 for n in range(1, tri.max_n + 1)},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(_chunks("json", tri.mask, _triangle_rows(tri)))
 
 
 def parse_json(text: str) -> numbers.Triangle:
@@ -93,11 +139,7 @@ def parse_json(text: str) -> numbers.Triangle:
 
 
 def render_plain(tri: numbers.Triangle) -> str:
-    lines = [f"mask {tri.mask} k {tri.mask.k}"]
-    for n in range(1, tri.max_n + 1):
-        cells = "  ".join(f"{m}:{v}" for m, v in sorted(tri.rows[n].items()))
-        lines.append(f"n={n}  {cells}")
-    return "\n".join(lines) + "\n"
+    return "".join(_chunks("plain", tri.mask, _triangle_rows(tri)))
 
 
 def _fstr(x: Fraction, digits: int = 6) -> str:
@@ -106,12 +148,36 @@ def _fstr(x: Fraction, digits: int = 6) -> str:
         return mpmath.nstr(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator), digits)
 
 
-def _write(path: str | None, text: str) -> None:
+@contextmanager
+def _sink(path: str | None):
+    """Stdout, or for a file ``path`` a temporary file that replaces it on success.
+
+    The temporary file sits in the target's directory, so ``os.replace``
+    is atomic; if the command raises, it is deleted and the target keeps
+    its old contents.
+    """
     if path is None:
-        sys.stdout.write(text)
-    else:
+        yield sys.stdout
+        return
+    if os.path.exists(path) and not os.path.isfile(path):
+        # A device or pipe, such as /dev/null, cannot be replaced: write it
+        # in place.  A directory fails here with an OSError, as it should.
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+        return
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write(out, text: str) -> None:
+    out.write(text)
 
 
 # ------------------------------------------------------------- verification
@@ -236,19 +302,16 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 
 # ----------------------------------------------------------------- commands
 
-def cmd_triangle(cfg: RunConfig) -> int:
-    tri = _TRIANGLE_FACTORY(cfg.mask, cfg.max_n)
-    if cfg.fmt == "csv":
-        text = render_csv(triangle_entries(tri))
-    elif cfg.fmt == "json":
-        text = render_json(tri)
-    else:
-        text = render_plain(tri)
-    _write(cfg.out, text)
+def cmd_triangle(cfg: RunConfig, out) -> int:
+    urows = numbers.decimal_rows(cfg.mask, cfg.max_n)
+    rows = ((n, numbers.row_entries(cfg.mask, urow).items())
+            for n, urow in enumerate(urows, 1))
+    for text in _chunks(cfg.fmt, cfg.mask, rows):
+        _write(out, text)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, out) -> int:
     results = run_verification(cfg.mask, cfg.max_n, use_oracle=cfg.use_oracle,
                                budget=cfg.budget, subset_limit=cfg.subset_limit)
     width = max(len(name) for name, _, _ in results)
@@ -256,11 +319,11 @@ def cmd_verify(cfg: RunConfig) -> int:
              for name, status, detail in results]
     failed = any(status == "FAIL" for _, status, _ in results)
     lines.append(f"result {'FAIL' if failed else 'OK'} (mask {cfg.mask}, n <= {cfg.max_n})")
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def cmd_poly(cfg: RunConfig) -> int:
+def cmd_poly(cfg: RunConfig, out) -> int:
     make = numbers.rising_poly if cfg.kind == "rising" else numbers.falling_poly
     poly = make(cfg.mask, cfg.max_n)
     lines = [f"mask {cfg.mask} n {cfg.max_n} kind {cfg.kind}",
@@ -268,15 +331,12 @@ def cmd_poly(cfg: RunConfig) -> int:
     if cfg.zeros:
         zs = numbers.poly_zeros(cfg.mask, cfg.max_n, cfg.kind)
         lines.append("zeros " + ",".join("undef" if z is None else str(z) for z in zs))
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
+def cmd_bounds(cfg: RunConfig, out) -> int:
     mask, n = cfg.mask, cfg.max_n
-    if n < 2:
-        print("error: bounds reporting needs --n >= 2", file=sys.stderr)
-        return EXIT_USAGE
     report = bounds.ratio_report(mask, n, cfg.m1 or (1, 2, 3))
     ok = True
     lines = [f"mask {mask} k {mask.k} n {n}",
@@ -297,11 +357,11 @@ def cmd_bounds(cfg: RunConfig) -> int:
                  f"{'PASS' if report.ratio_ok else 'FAIL'}")
     lines.append(f"ratio_prime {report.ratio_prime} (~{_fstr(report.ratio_prime)}) "
                  f"within e^lambda_prime {'PASS' if report.ratio_prime_ok else 'FAIL'}")
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_stirling(cfg: RunConfig) -> int:
+def cmd_stirling(cfg: RunConfig, out) -> int:
     n = cfg.max_n
     tri = _TRIANGLE_FACTORY(numbers.Mask.stirling(), n)
     ref = numbers.stirling_ref(n)
@@ -317,7 +377,7 @@ def cmd_stirling(cfg: RunConfig) -> int:
                                  f"triangle={got.get(m, 0)} reference={want.get(m, 0)}")
     if clean:
         lines.append(f"OK: {n} rows identical")
-    _write(cfg.out, "\n".join(lines) + "\n")
+    _write(out, "\n".join(lines) + "\n")
     return EXIT_OK if clean else EXIT_CHECK_FAILED
 
 
@@ -350,20 +410,27 @@ def _m1_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def _bounds_n(text: str) -> int:
+    n = _positive_int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError("bounds reporting needs --n >= 2")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqopt",
         description="Exact masked-record permutation triangles, bounds and checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, mask=True, n_default=None):
+    def common(sp, *, mask=True, n_default=None, n_type=_positive_int):
         if mask:
             sp.add_argument("--mask", type=_mask_arg, required=True,
                             help="bit string c0c1...ck, e.g. 01")
         if n_default is None:
-            sp.add_argument("--n", type=_positive_int, required=True, dest="max_n")
+            sp.add_argument("--n", type=n_type, required=True, dest="max_n")
         else:
-            sp.add_argument("--n", type=_positive_int, default=n_default, dest="max_n")
+            sp.add_argument("--n", type=n_type, default=n_default, dest="max_n")
         sp.add_argument("--out", default=None, help="write output to this path")
 
     sp = sub.add_parser("triangle", help="print rows 1..n of the triangle")
@@ -386,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--zeros", action="store_true", help="append the exact roots")
 
     sp = sub.add_parser("bounds", help="upper bounds, tail and ratio report for row n")
-    common(sp)
+    common(sp, n_type=_bounds_n)
     sp.add_argument("--m1", type=_m1_list, default=(), help="comma-separated tail margins")
 
     sp = sub.add_parser("stirling", help="diff mask 01 against the classic recurrence")
@@ -423,7 +490,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     cfg = _config_from_args(args)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        with _sink(cfg.out) as out:
+            return _HANDLERS[cfg.command](cfg, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

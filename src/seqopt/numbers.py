@@ -20,12 +20,18 @@ weights and exists, together with the exhaustive counter in
 ``seqopt.oracle``, as an independent route to the same integers.
 
 All arithmetic is exact: counts are Python ints, weights are
-``fractions.Fraction``; nothing here ever rounds.
+``fractions.Fraction``; nothing here ever rounds.  ``decimal_rows`` runs
+the same recurrence in ``decimal.Decimal`` under a context that traps
+every rounding, because a Decimal converts to a decimal string in linear
+time where an int of d digits takes time quadratic in d.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
+                     InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -39,12 +45,14 @@ __all__ = [
     "SubsetLimitError",
     "Triangle",
     "complement",
+    "decimal_rows",
     "explicit_value",
     "f_weight",
     "falling_poly",
     "g_weight",
     "poly_zeros",
     "rising_poly",
+    "row_entries",
     "stirling_ref",
     "triangle",
     "value",
@@ -153,25 +161,67 @@ def g_weight(j: int, vec: Mask) -> int:
 
 # Unsigned rows keyed by mask; row n is an immutable tuple indexed 0..n with
 # slot 0 unused, so cached state can never be corrupted through a Triangle.
+# Rows are only ever appended, and only under _ROW_LOCK.
 _ROW_CACHE: dict[Mask, list[tuple[int, ...]]] = {}
+_ROW_LOCK = threading.Lock()
+
+# Decimal arithmetic that raises rather than rounds: at this precision and
+# exponent range a sum or product of integers is always exact, and any
+# operation that is not exact traps.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, Overflow, InvalidOperation])
+
+
+def _row_step(prev: tuple, gc, gp) -> tuple:
+    """Unsigned row n + 1 from row n: slot u is gc * prev[u-1] + gp * prev[u].
+
+    ``gc`` and ``gp`` are g_weight(n+1, mask) and g_weight(n+1, ~mask) of
+    the same numeric type as the row; slot 0 holds that type's zero and
+    stands in for the missing neighbours at both ends.
+    """
+    return (prev[0], *[gc * a + gp * b for a, b in zip(prev, prev[1:] + prev[:1])])
 
 
 def _unsigned_rows(mask: Mask, max_n: int) -> list[tuple[int, ...]]:
-    rows = _ROW_CACHE.setdefault(mask, [(0, 1)])
+    with _ROW_LOCK:
+        rows = _ROW_CACHE.setdefault(mask, [(0, 1)])
+        have = len(rows)
+    if have >= max_n:
+        return rows
     comp = mask.complement()
-    while len(rows) < max_n:
-        n = len(rows)
-        prev = rows[n - 1]
-        gc = g_weight(n + 1, mask)
-        gp = g_weight(n + 1, comp)
-        nxt = [0] * (n + 2)
-        for u in range(1, n + 2):
-            acc = gc * prev[u - 1]
-            if u <= n:
-                acc += gp * prev[u]
-            nxt[u] = acc
-        rows.append(tuple(nxt))
+    built = [rows[have - 1]]
+    for n in range(have, max_n):
+        built.append(_row_step(built[-1], g_weight(n + 1, mask), g_weight(n + 1, comp)))
+    with _ROW_LOCK:
+        # Another thread may have published some of these rows meanwhile;
+        # rows are deterministic, so append only the ones still missing.
+        rows.extend(built[len(rows) - have + 1:])
     return rows
+
+
+def decimal_rows(mask: Mask, max_n: int):
+    """Yield unsigned rows 1..max_n as exact ``Decimal`` tuples, uncached.
+
+    Same recurrence and layout as the cached int rows; only the previous
+    row is held.  The exact context is active only while a row is built,
+    never in the caller across a ``yield``.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    comp = mask.complement()
+    row = (Decimal(0), Decimal(1))
+    yield row
+    for n in range(1, max_n):
+        gc, gp = Decimal(g_weight(n + 1, mask)), Decimal(g_weight(n + 1, comp))
+        with localcontext(_EXACT):
+            row = _row_step(row, gc, gp)
+        yield row
+
+
+def row_entries(mask: Mask, urow: tuple) -> dict:
+    """Nonzero entries ``{m: value}`` of one unsigned row, in increasing m."""
+    off = mask.offset - 1
+    return {u + off: c for u, c in enumerate(urow) if u >= 1 and c}
 
 
 @dataclass(frozen=True)
@@ -203,11 +253,7 @@ def triangle(mask: Mask, max_n: int) -> Triangle:
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     all_rows = _unsigned_rows(mask, max_n)
-    off = mask.offset
-    rows: dict[int, dict[int, int]] = {}
-    for n in range(1, max_n + 1):
-        urow = all_rows[n - 1]
-        rows[n] = {u + off - 1: c for u, c in enumerate(urow) if u >= 1 and c}
+    rows = {n: row_entries(mask, all_rows[n - 1]) for n in range(1, max_n + 1)}
     return Triangle(mask, max_n, rows)
 
 

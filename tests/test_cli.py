@@ -1,14 +1,24 @@
 """CLI contract tests: formats, round-trips, exit codes."""
 
+import json
+import os
 import re
+import stat
+import subprocess
+import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 import seqopt.cli as cli
+from seqopt import numbers
 from seqopt.numbers import Mask, triangle
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+
+MASKS_K_UP_TO_3 = [Mask(bits) for k in (1, 2, 3) for bits in product((0, 1), repeat=k + 1)]
 
 
 def run(capsys, *argv):
@@ -70,10 +80,88 @@ class TestTriangleCommand:
         _, second, _ = run(capsys, "triangle", "--mask", "011", "--n", "6", "--format", "json")
         assert first == second
 
+    def test_failed_stream_leaves_out_target_unchanged(self, capsys, monkeypatch, tmp_path):
+        real_rows = numbers.decimal_rows
+
+        def failing_rows(mask, max_n):
+            rows = real_rows(mask, max_n)
+            yield next(rows)
+            yield next(rows)
+            raise RuntimeError("row generator failed")
+
+        monkeypatch.setattr(numbers, "decimal_rows", failing_rows)
+        target = tmp_path / "t.csv"
+        target.write_text("old contents\n")
+        with pytest.raises(RuntimeError, match="row generator failed"):
+            cli.main(["triangle", "--mask", "01", "--n", "6", "--format", "csv",
+                      "--out", str(target)])
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_to_a_pipe_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run(capsys, "triangle", "--mask", "01", "--n", "4",
+                             "--format", "csv", "--out", str(fifo))
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert data.decode() == (GOLDEN / "triangle_01_n4.csv").read_text()
+
+    def test_usage_error_leaves_out_target_unchanged(self, capsys, tmp_path):
+        target = tmp_path / "b.txt"
+        target.write_text("old contents\n")
+        code, _, _ = run(capsys, "bounds", "--mask", "01", "--n", "1", "--out", str(target))
+        assert code == 2
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["b.txt"]
+
     def test_plain_format(self, capsys):
         code, out, _ = run(capsys, "triangle", "--mask", "01", "--n", "2")
         assert code == 0
         assert out.splitlines() == ["mask 01 k 1", "n=1  1:1", "n=2  1:1  2:1"]
+
+
+@pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+class TestStreamedTriangleMatchesRenderers:
+    """The streamed ``triangle`` output equals the whole-triangle renderers."""
+
+    def test_csv(self, capsys, mask):
+        for n in range(1, 16):
+            _, out, _ = run(capsys, "triangle", "--mask", str(mask), "--n", str(n),
+                            "--format", "csv")
+            assert out == cli.render_csv(cli.triangle_entries(triangle(mask, n)))
+
+    def test_json(self, capsys, mask):
+        for n in range(1, 16):
+            _, out, _ = run(capsys, "triangle", "--mask", str(mask), "--n", str(n),
+                            "--format", "json")
+            tri = triangle(mask, n)
+            assert out == cli.render_json(tri)
+            payload = {"mask": str(mask), "k": mask.k,
+                       "rows": {str(r): {str(m): str(v) for m, v in sorted(tri.rows[r].items())}
+                                for r in range(1, n + 1)}}
+            assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_plain(self, capsys, mask):
+        for n in range(1, 16):
+            _, out, _ = run(capsys, "triangle", "--mask", str(mask), "--n", str(n))
+            assert out == cli.render_plain(triangle(mask, n))
+
+
+def test_benchmark_trace_bindings_resolve():
+    # The benchmark's tracer wraps layer functions by name; a renamed or
+    # deleted one makes every traced invocation fail.
+    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+            "import seqopt.cli, tracer; tracer.install(tracer.Tracer(0))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "benchmarks")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestExitCodes:

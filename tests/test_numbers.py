@@ -1,5 +1,8 @@
 """Unit tests for the exact triangle module."""
 
+import decimal
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -7,10 +10,12 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
+from seqopt import numbers
 from seqopt.numbers import (
     Mask,
     SubsetLimitError,
     complement,
+    decimal_rows,
     explicit_value,
     f_weight,
     falling_poly,
@@ -311,3 +316,71 @@ class TestStirlingRef:
         ref = stirling_ref(12)
         tri = triangle(Mask.stirling(), 12)
         assert all(tri.row(n) == ref[n] for n in range(1, 13))
+
+
+class TestDecimalRows:
+    @pytest.mark.parametrize("mask", list(all_masks(3)), ids=str)
+    def test_equal_to_cached_int_rows(self, mask):
+        rows = [tuple(int(c) for c in row) for row in decimal_rows(mask, 15)]
+        assert rows == numbers._unsigned_rows(mask, 15)[:15]
+
+    def test_caller_context_untouched_by_partly_consumed_generator(self):
+        with decimal.localcontext(decimal.Context(prec=5)) as ctx:
+            before = repr(ctx)
+            rows = decimal_rows(Mask.from_string("0111"), 40)
+            for _ in range(20):
+                next(rows)
+            assert decimal.getcontext() is ctx
+            assert repr(ctx) == before
+            rows.close()
+            assert decimal.getcontext() is ctx
+            assert repr(ctx) == before
+
+    def test_exact_context_traps_rounding(self):
+        with decimal.localcontext(numbers._EXACT):
+            with pytest.raises(decimal.Inexact):
+                decimal.Decimal("2.5").to_integral_exact()
+            with pytest.raises(decimal.Overflow):
+                decimal.Decimal(f"9E{decimal.MAX_EMAX}") * 10
+
+    def test_rejects_empty_triangle(self):
+        with pytest.raises(ValueError):
+            next(decimal_rows(Mask.stirling(), 0))
+
+
+class TestRowCacheThreads:
+    def test_concurrent_cold_builds_publish_every_row_once(self):
+        mask = Mask.from_string("011")
+        n_max = 400
+        saved = numbers._ROW_CACHE.pop(mask, None)
+        interval = sys.getswitchinterval()
+        errors = []
+
+        def build():
+            try:
+                numbers._unsigned_rows(mask, n_max)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            assert errors == []
+            rows = numbers._ROW_CACHE[mask]
+            assert len(rows) == n_max
+            fact = 1
+            for n, row in enumerate(rows, 1):
+                fact *= n
+                assert len(row) == n + 1
+                assert sum(row) == fact**2
+        finally:
+            sys.setswitchinterval(interval)
+            if saved is None:
+                numbers._ROW_CACHE.pop(mask, None)
+            else:
+                numbers._ROW_CACHE[mask] = saved

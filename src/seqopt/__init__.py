@@ -8,7 +8,6 @@ exhaustive ground-truth oracles.  All arithmetic is exact.
 
 from .bounds import (
     BoundReport,
-    HVector,
     TailCheck,
     exp_bound_holds,
     h_dot,
@@ -26,7 +25,6 @@ from .numbers import (
     Mask,
     SubsetLimitError,
     Triangle,
-    complement,
     explicit_value,
     f_weight,
     falling_poly,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BudgetError",
-    "HVector",
     "Histogram",
     "IntPolynomial",
     "Mask",
@@ -60,7 +57,6 @@ __all__ = [
     "TailCheck",
     "Triangle",
     "color_boards_count",
-    "complement",
     "exp_bound_holds",
     "explicit_value",
     "f_weight",

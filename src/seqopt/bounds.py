@@ -31,7 +31,6 @@ MARGIN = Fraction(1, 10**12)
 __all__ = [
     "MARGIN",
     "BoundReport",
-    "HVector",
     "TailCheck",
     "exp_bound_holds",
     "h_dot",
@@ -60,26 +59,19 @@ def exp_bound_holds(lhs: Fraction, exponent) -> bool:
         return bool(left <= rhs + mpmath.mpf(10) ** -12)
 
 
-@dataclass(frozen=True)
-class HVector:
-    """Partial harmonic power sums h_p = comb(k, p) * sum_{j=1..n-1} 1/j**p."""
+def h_vector(n: int, k: int) -> tuple[Fraction, ...]:
+    """Partial harmonic power sums h_p = comb(k, p) * sum_{j=1..n-1} 1/j**p.
 
-    n: int
-    k: int
-    entries: tuple[Fraction, ...]
-
-
-def h_vector(n: int, k: int) -> HVector:
-    """Exact harmonic vector for rows of size n; h_0 is always n - 1."""
+    Exact, for p = 0..k; h_0 is always n - 1.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    entries = tuple(
+    return tuple(
         comb(k, p) * sum((Fraction(1, j**p) for j in range(1, n)), Fraction(0))
         for p in range(k + 1)
     )
-    return HVector(n, k, entries)
 
 
 def h_dot(n: int, mask: Mask) -> Fraction:
@@ -88,8 +80,7 @@ def h_dot(n: int, mask: Mask) -> Fraction:
     Identically equal to sum(f_weight(j, mask) for j in 2..n); that
     identity is enforced in the test suite.
     """
-    hv = h_vector(n, mask.k)
-    return sum((e for e, bit in zip(hv.entries, mask.bits) if bit), Fraction(0))
+    return sum((e for e, bit in zip(h_vector(n, mask.k), mask.bits) if bit), Fraction(0))
 
 
 def ocmax(mask: Mask, n: int, m: int) -> Fraction:

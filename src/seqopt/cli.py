@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, prod
@@ -34,25 +33,10 @@ EXIT_IO = 3
 _TRIANGLE_FACTORY = numbers.triangle
 
 __all__ = [
-    "RunConfig", "main", "run_verification",
+    "main", "run_verification",
     "render_csv", "render_json", "render_plain", "parse_csv", "parse_json",
     "triangle_entries",
 ]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    mask: numbers.Mask | None = None
-    max_n: int = 1
-    fmt: str = "plain"
-    use_oracle: bool = False
-    budget: int = oracle.DEFAULT_BUDGET
-    subset_limit: int = numbers.DEFAULT_SUBSET_LIMIT
-    zeros: bool = False
-    kind: str = "rising"
-    m1: tuple[int, ...] = ()
-    out: str | None = None
 
 
 # ---------------------------------------------------------------- rendering
@@ -182,6 +166,27 @@ def _write(out, text: str) -> None:
 
 # ------------------------------------------------------------- verification
 
+def _divides_out(coeffs, roots) -> bool:
+    """True when sum(coeffs[i] * x**i) divides by (q*x - p) once per root p/q.
+
+    All-integer synthetic division from the top: every quotient coefficient
+    must divide exactly and every remainder must be 0.
+    """
+    for z in roots:
+        p, q = z.numerator, z.denominator
+        quotient = []
+        carry = 0
+        for a in reversed(coeffs[1:]):
+            carry, rem = divmod(a + p * carry, q)
+            if rem:
+                return False
+            quotient.append(carry)
+        if coeffs[0] + p * carry:
+            return False
+        coeffs = quotient[::-1]
+    return True
+
+
 def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False,
                      budget: int = oracle.DEFAULT_BUDGET,
                      subset_limit: int = numbers.DEFAULT_SUBSET_LIMIT):
@@ -218,16 +223,22 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 
     poly_ok = True
     for n in range(1, max_n + 1):
-        up = numbers.rising_poly(mask, n)
-        down = numbers.falling_poly(mask, n)
-        for u in range(n + 1):
-            want = tri.value(n, u + mask.offset - 1) if u >= 1 else 0
-            poly_ok &= up.coefficients[u] == want
-            poly_ok &= down.coefficients[u] == (-1) ** (n + u) * want
-        for kind, poly in (("rising", up), ("falling", down)):
-            for z in numbers.poly_zeros(mask, n, kind):
-                if z is not None:
-                    poly_ok &= poly(z) == 0
+        # Row n as the coefficients of x**0..x**n, and the falling product's
+        # coefficients by the sign rule (-1)**(n+u).
+        rising = [tri.value(n, u + mask.offset - 1) for u in range(n + 1)]
+        falling = [-c if (n + u) % 2 else c for u, c in enumerate(rising)]
+        for kind, sign, coeffs in (("rising", 1, rising), ("falling", -1, falling)):
+            zeros = numbers.poly_zeros(mask, n, kind)
+            roots = [z for z in zeros if z is not None]
+            # A slot of None marks a factor with g_weight(j, mask) == 0: it
+            # is the constant sign * g_weight(j, ~mask) and has no root.
+            lead = prod(numbers.g_weight(j, mask) if z is not None
+                        else sign * numbers.g_weight(j, comp)
+                        for j, z in enumerate(zeros[1:], 2))
+            # Degree, leading coefficient and roots fix the polynomial.
+            deg = len(roots)
+            poly_ok &= (coeffs[deg] == lead and not any(coeffs[deg + 1:])
+                        and _divides_out(coeffs, roots))
     check("polynomials", poly_ok, "coefficients, sign rule, exact zeros")
 
     js = range(2, max_n + 2)
@@ -302,42 +313,42 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 
 # ----------------------------------------------------------------- commands
 
-def cmd_triangle(cfg: RunConfig, out) -> int:
-    urows = numbers.decimal_rows(cfg.mask, cfg.max_n)
-    rows = ((n, numbers.row_entries(cfg.mask, urow).items())
+def cmd_triangle(args: argparse.Namespace, out) -> int:
+    urows = numbers.decimal_rows(args.mask, args.max_n)
+    rows = ((n, numbers.row_entries(args.mask, urow).items())
             for n, urow in enumerate(urows, 1))
-    for text in _chunks(cfg.fmt, cfg.mask, rows):
+    for text in _chunks(args.fmt, args.mask, rows):
         _write(out, text)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    results = run_verification(cfg.mask, cfg.max_n, use_oracle=cfg.use_oracle,
-                               budget=cfg.budget, subset_limit=cfg.subset_limit)
+def cmd_verify(args: argparse.Namespace, out) -> int:
+    results = run_verification(args.mask, args.max_n, use_oracle=args.use_oracle,
+                               budget=args.budget, subset_limit=args.subset_limit)
     width = max(len(name) for name, _, _ in results)
     lines = [f"{status:<4} {name:<{width}}  {detail}".rstrip()
              for name, status, detail in results]
     failed = any(status == "FAIL" for _, status, _ in results)
-    lines.append(f"result {'FAIL' if failed else 'OK'} (mask {cfg.mask}, n <= {cfg.max_n})")
+    lines.append(f"result {'FAIL' if failed else 'OK'} (mask {args.mask}, n <= {args.max_n})")
     _write(out, "\n".join(lines) + "\n")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def cmd_poly(cfg: RunConfig, out) -> int:
-    make = numbers.rising_poly if cfg.kind == "rising" else numbers.falling_poly
-    poly = make(cfg.mask, cfg.max_n)
-    lines = [f"mask {cfg.mask} n {cfg.max_n} kind {cfg.kind}",
+def cmd_poly(args: argparse.Namespace, out) -> int:
+    make = numbers.rising_poly if args.kind == "rising" else numbers.falling_poly
+    poly = make(args.mask, args.max_n)
+    lines = [f"mask {args.mask} n {args.max_n} kind {args.kind}",
              "coefficients " + ",".join(str(c) for c in poly.coefficients)]
-    if cfg.zeros:
-        zs = numbers.poly_zeros(cfg.mask, cfg.max_n, cfg.kind)
+    if args.zeros:
+        zs = numbers.poly_zeros(args.mask, args.max_n, args.kind)
         lines.append("zeros " + ",".join("undef" if z is None else str(z) for z in zs))
     _write(out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig, out) -> int:
-    mask, n = cfg.mask, cfg.max_n
-    report = bounds.ratio_report(mask, n, cfg.m1 or (1, 2, 3))
+def cmd_bounds(args: argparse.Namespace, out) -> int:
+    mask, n = args.mask, args.max_n
+    report = bounds.ratio_report(mask, n, args.m1 or (1, 2, 3))
     ok = True
     lines = [f"mask {mask} k {mask.k} n {n}",
              f"lambda {report.lam}",
@@ -361,8 +372,8 @@ def cmd_bounds(cfg: RunConfig, out) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_stirling(cfg: RunConfig, out) -> int:
-    n = cfg.max_n
+def cmd_stirling(args: argparse.Namespace, out) -> int:
+    n = args.max_n
     tri = _TRIANGLE_FACTORY(numbers.Mask.stirling(), n)
     ref = numbers.stirling_ref(n)
     lines = []
@@ -461,14 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, max_n=args.max_n, out=args.out)
-    for name in ("mask", "fmt", "use_oracle", "budget", "subset_limit", "zeros", "kind", "m1"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 _HANDLERS = {
     "triangle": cmd_triangle,
     "verify": cmd_verify,
@@ -488,10 +491,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    cfg = _config_from_args(args)
     try:
-        with _sink(cfg.out) as out:
-            return _HANDLERS[cfg.command](cfg, out)
+        with _sink(args.out) as out:
+            return _HANDLERS[args.command](args, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

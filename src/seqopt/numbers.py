@@ -14,10 +14,13 @@ counted.  The triangle is produced by the all-integer recurrence
     value(n+1, m+1) = g_weight(n+1, mask) * value(n, m)
                     + g_weight(n+1, ~mask) * value(n, m+1)
 
-seeded with ``value(1, c_k) = 1``.  ``explicit_value`` recomputes single
-entries from an elementary-symmetric sum over the rational column
-weights and exists, together with the exhaustive counter in
-``seqopt.oracle``, as an independent route to the same integers.
+seeded with ``value(1, c_k) = 1``.  One row step multiplies the generating
+product ``x * prod_{j=2..n} (g_weight(j, mask)*x + g_weight(j, ~mask))`` by
+its next linear factor, so ``rising_poly`` and ``falling_poly`` read row n
+off the same row step, folded without the row store.  ``explicit_value``
+recomputes single entries from an elementary-symmetric sum over the
+rational column weights and exists, together with the exhaustive counter
+in ``seqopt.oracle``, as an independent route to the same integers.
 
 All arithmetic is exact: counts are Python ints, weights are
 ``fractions.Fraction``; nothing here ever rounds.  ``decimal_rows`` runs
@@ -44,7 +47,6 @@ __all__ = [
     "Mask",
     "SubsetLimitError",
     "Triangle",
-    "complement",
     "decimal_rows",
     "explicit_value",
     "f_weight",
@@ -117,15 +119,11 @@ class Mask:
         return range(self.offset, n + self.offset)
 
     def complement(self) -> "Mask":
+        """Bitwise complement, same k; an involution."""
         return Mask(tuple(1 - b for b in self.bits))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-
-def complement(mask: Mask) -> Mask:
-    """Bitwise complement, same k; an involution."""
-    return mask.complement()
 
 
 def f_weight(j: int, vec: Mask) -> Fraction:
@@ -322,43 +320,31 @@ class IntPolynomial:
         return acc
 
 
-def _weighted_product(mask: Mask, n: int, sign: int) -> tuple[int, ...]:
-    # x * prod_{j=2..n} (g_weight(j, mask)*x + sign*g_weight(j, ~mask)); the
-    # coefficient list always has n + 1 slots even when a degenerate mask
-    # kills the leading terms.
-    comp = mask.complement()
-    coeffs = [0, 1]
-    for j in range(2, n + 1):
-        a = g_weight(j, mask)
-        b = sign * g_weight(j, comp)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            if c:
-                nxt[i] += b * c
-                nxt[i + 1] += a * c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 def rising_poly(mask: Mask, n: int) -> IntPolynomial:
     """Expand ``x * prod_{j=2..n} (g_weight(j, mask)*x + g_weight(j, ~mask))``.
 
-    The coefficient of x**u is value(mask, n, u + offset - 1): the whole
-    row read off a generating product instead of the recurrence.
+    Multiplying by one linear factor is one step of the row recurrence,
+    so the coefficients are unsigned row n: the coefficient of x**u is
+    value(mask, n, u + offset - 1).  The row is folded here from row 1 and
+    never enters the row store.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return IntPolynomial(_weighted_product(mask, n, +1), "rising")
+    comp = mask.complement()
+    row = (0, 1)
+    for j in range(2, n + 1):
+        row = _row_step(row, g_weight(j, mask), g_weight(j, comp))
+    return IntPolynomial(row, "rising")
 
 
 def falling_poly(mask: Mask, n: int) -> IntPolynomial:
     """Same product with the constant terms negated.
 
-    Coefficients match rising_poly up to the sign (-1)**(n+u).
+    Its coefficients are rising_poly's with the sign (-1)**(n+u) on x**u.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return IntPolynomial(_weighted_product(mask, n, -1), "falling")
+    coeffs = rising_poly(mask, n).coefficients
+    return IntPolynomial(tuple(-c if (n + u) % 2 else c for u, c in enumerate(coeffs)),
+                         "falling")
 
 
 def poly_zeros(mask: Mask, n: int, kind: str = "rising") -> list[Fraction | None]:

@@ -111,14 +111,28 @@ def _flags_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_record_flags(p) for p in permutations(range(1, n + 1)))
 
 
-def _histogram_counts(mask: Mask, n: int, firsts=None) -> Counter:
+def _unrank(n: int, index: int) -> tuple[int, ...]:
+    """Permutation of 1..n at ``index`` in lexicographic order.
+
+    The digits of ``index`` in the factorial number system are its Lehmer
+    code: digit i picks the next entry among those still unused.
+    """
+    pool = list(range(1, n + 1))
+    perm = []
+    for left in range(n - 1, -1, -1):
+        digit, index = divmod(index, factorial(left))
+        perm.append(pool.pop(digit))
+    return tuple(perm)
+
+
+def _histogram_counts(mask: Mask, n: int, first_columns) -> Counter:
+    # ``first_columns`` holds the first-column permutations to enumerate;
+    # the other k - 1 columns run over every permutation.
     k, bits = mask.k, mask.bits
     counts: Counter = Counter()
     rest = _flags_table(n) if k > 1 else ()
     rows = range(n)
-    for idx, perm in enumerate(permutations(range(1, n + 1))):
-        if firsts is not None and idx not in firsts:
-            continue
+    for perm in first_columns:
         first = _record_flags(perm)
         if k == 1:
             counts[sum(bits[f] for f in first)] += 1
@@ -147,7 +161,7 @@ def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
     if total > budget:
         raise BudgetError(
             f"enumeration needs {total} permutation tuples, over the budget of {budget}")
-    counts = _histogram_counts(mask, n)
+    counts = _histogram_counts(mask, n, permutations(range(1, n + 1)))
     return Histogram(mask, n, dict(sorted(counts.items())))
 
 
@@ -169,7 +183,7 @@ def partial_histogram(mask: Mask, n: int, first_index: int,
         raise BudgetError(
             f"one partition still needs {slice_total} permutation tuples, "
             f"over the budget of {budget}")
-    return _histogram_counts(mask, n, firsts={first_index})
+    return _histogram_counts(mask, n, (_unrank(n, first_index),))
 
 
 def color_boards_count(heights, mask: Mask) -> int:

@@ -219,6 +219,44 @@ class TestVerifyCommand:
         assert "stirling-reference" not in out
 
 
+class TestVerifyGoldens:
+    """Byte-identical verify reports, including degenerate and repeated-root masks."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("--mask", "011", "--n", "12", "--oracle"), "verify_011_n12_oracle.txt"),
+        (("--mask", "11", "--n", "8"), "verify_11_n8.txt"),
+        (("--mask", "000", "--n", "6"), "verify_000_n6.txt"),
+    ], ids=["011-n12-oracle", "11-n8", "000-n6"])
+    def test_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+
+def polynomials_status(results):
+    return next(status for name, status, _ in results if name == "polynomials")
+
+
+class TestPolynomialsCheck:
+    """The polynomials check reads the triangle under test, so it sees corruption."""
+
+    @pytest.mark.parametrize("row", [6, 3], ids=["top-row", "middle-row"])
+    @pytest.mark.parametrize("text", ["01", "011", "11", "111", "00", "000", "1001"])
+    def test_single_entry_corruption_fails(self, monkeypatch, text, row):
+        def factory(mask, max_n):
+            tri = triangle(mask, max_n)
+            m = next(iter(tri.rows[row]))
+            tri.rows[row][m] += 1
+            return tri
+
+        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+        assert polynomials_status(cli.run_verification(Mask.from_string(text), 6)) == "FAIL"
+
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_clean_triangle_passes(self, mask):
+        assert polynomials_status(cli.run_verification(mask, 10)) == "PASS"
+
+
 class TestPolyCommand:
     def test_with_zeros(self, capsys):
         code, out, _ = run(capsys, "poly", "--mask", "01", "--n", "3", "--zeros")

@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from seqopt import oracle
 from seqopt.numbers import Mask, triangle
 from seqopt.oracle import (
     BudgetError,
@@ -94,6 +95,19 @@ class TestHistogram:
             for idx in range(factorial(n)):
                 merged += partial_histogram(mask, n, idx)
             assert dict(sorted(merged.items())) == whole.counts
+
+    def test_unrank_matches_lexicographic_order(self):
+        perms = list(permutations(range(1, 6)))
+        for idx, perm in enumerate(perms):
+            assert oracle._unrank(5, idx) == perm
+
+    def test_unrank_first_and_last_at_n_eight(self):
+        last = factorial(8) - 1
+        assert oracle._unrank(8, 0) == tuple(range(1, 9))
+        assert oracle._unrank(8, last) == tuple(range(8, 0, -1))
+        # with one column the partial histogram is that permutation's record count
+        assert partial_histogram(Mask.stirling(), 8, 0) == Counter({1: 1})
+        assert partial_histogram(Mask.stirling(), 8, last) == Counter({8: 1})
 
     def test_partial_index_validation(self):
         with pytest.raises(ValueError):

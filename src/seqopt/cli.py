@@ -101,6 +101,9 @@ def parse_csv(text: str) -> list[tuple[int, int, int]]:
     lines = text.splitlines()
     if not lines or lines[0] != "n,m,value":
         raise ValueError("missing n,m,value header")
+    # Every rendered line ends in a newline; a text without one was cut mid-entry.
+    if not text.endswith("\n"):
+        raise ValueError("CSV does not end in a newline: truncated stream?")
     out = []
     for line in lines[1:]:
         n, m, v = line.split(",")
@@ -453,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", action="store_true", dest="use_oracle",
                     help="also diff rows against the exhaustive enumeration")
     sp.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET,
-                    help="max permutation tuples the oracle may enumerate")
+                    help="max permutation tuples the oracle may cover, (n!)^k per row")
     sp.add_argument("--subset-limit", type=_positive_int,
                     default=numbers.DEFAULT_SUBSET_LIMIT,
                     help="cap for the explicit subset expansion")

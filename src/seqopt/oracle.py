@@ -1,10 +1,16 @@
 """Ground-truth enumeration for the triangle numbers.
 
-Everything here executes the defining count literally: walk every
-k-tuple of permutations of 1..n, take each column's optimization set
-(its left-to-right minima), apply the mask row by row, and histogram the
-selected-row totals.  It is deliberately brute force; the point is to be
-obviously correct so the fast recurrence can be played against it.
+Everything here counts from the defining enumeration: every k-tuple of
+permutations of 1..n, each column's optimization set (its left-to-right
+minima), the mask applied row by row, and a histogram of the
+selected-row totals.  A row is selected by how many columns have a
+record there, so a tuple matters only through its columns' record-flag
+vectors.  The n! permutations are therefore enumerated once and grouped
+by flag vector (at most 2**(n - 1) of them), and the k columns are
+combined over those groups, each combination weighted by the product of
+its counts.  Every count comes from that enumeration, never from a
+closed form, so the oracle stays independent of the recurrence it is
+played against.
 
 ``optimization_set_bruteforce`` goes one level deeper and finds a
 minimum-cardinality covering subset by raw subset search, which pins
@@ -17,7 +23,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import factorial
 
 from .numbers import Mask
@@ -106,9 +112,23 @@ def _record_flags(perm) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _flags_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # Only materialized for k >= 2, where the budget keeps n! small.
-    return tuple(_record_flags(p) for p in permutations(range(1, n + 1)))
+def _flag_counts(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # Every permutation of 1..n enumerated once, grouped by record-flag
+    # vector: at most 2**(n - 1) vectors, since position 1 is always a record.
+    return tuple(Counter(map(_record_flags, permutations(range(1, n + 1)))).items())
+
+
+@lru_cache(maxsize=None)
+def _level_counts(n: int, columns: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # Per-row record counts over ``columns`` columns, with the number of
+    # permutation tuples that produce each level vector.
+    if columns == 0:
+        return (((0,) * n, 1),)
+    levels: Counter = Counter()
+    for level, ways in _level_counts(n, columns - 1):
+        for flags, count in _flag_counts(n):
+            levels[tuple(map(operator.add, level, flags))] += ways * count
+    return tuple(levels.items())
 
 
 def _unrank(n: int, index: int) -> tuple[int, ...]:
@@ -125,35 +145,28 @@ def _unrank(n: int, index: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _histogram_counts(mask: Mask, n: int, first_columns) -> Counter:
-    # ``first_columns`` holds the first-column permutations to enumerate;
-    # the other k - 1 columns run over every permutation.
-    k, bits = mask.k, mask.bits
+def _histogram_counts(mask: Mask, n: int, first_flags) -> Counter:
+    # ``first_flags`` pairs each first-column flag vector with the number of
+    # first-column permutations that have it; the other k - 1 columns run
+    # over every permutation.  A row is selected by its level alone, so each
+    # (first vector, level vector) pair stands for count * ways tuples.
+    bits = mask.bits
     counts: Counter = Counter()
-    rest = _flags_table(n) if k > 1 else ()
-    rows = range(n)
-    for perm in first_columns:
-        first = _record_flags(perm)
-        if k == 1:
-            counts[sum(bits[f] for f in first)] += 1
-            continue
-        for cols in product(rest, repeat=k - 1):
-            w = 0
-            for i in rows:
-                l = first[i]
-                for col in cols:
-                    l += col[i]
-                w += bits[l]
-            counts[w] += 1
+    rest = _level_counts(n, mask.k - 1)
+    for flags, count in first_flags:
+        for level, ways in rest:
+            counts[sum(bits[f + l] for f, l in zip(flags, level))] += count * ways
     return counts
 
 
 def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
     """Exhaustive histogram of selected-row totals over all (n!)**k tuples.
 
-    Refuses when the tuple count would exceed the budget.  Columns advance
-    in lexicographic order, but only counts survive, so enumeration order
-    never shows in the result.
+    The tuples are counted through their columns' record-flag vectors
+    (see the module docstring): n! permutations are enumerated, and
+    at most 2**((n - 1) * k) vector combinations are weighed.  The budget
+    still counts the (n!)**k tuples covered, and the call refuses when
+    that count would exceed it.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -161,7 +174,7 @@ def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
     if total > budget:
         raise BudgetError(
             f"enumeration needs {total} permutation tuples, over the budget of {budget}")
-    counts = _histogram_counts(mask, n, permutations(range(1, n + 1)))
+    counts = _histogram_counts(mask, n, _flag_counts(n))
     return Histogram(mask, n, dict(sorted(counts.items())))
 
 
@@ -183,7 +196,7 @@ def partial_histogram(mask: Mask, n: int, first_index: int,
         raise BudgetError(
             f"one partition still needs {slice_total} permutation tuples, "
             f"over the budget of {budget}")
-    return _histogram_counts(mask, n, (_unrank(n, first_index),))
+    return _histogram_counts(mask, n, ((_record_flags(_unrank(n, first_index)), 1),))
 
 
 def color_boards_count(heights, mask: Mask) -> int:

@@ -61,6 +61,12 @@ class TestTriangleCommand:
         assert cli.render_csv(entries) == out
         assert entries == cli.triangle_entries(triangle(Mask.from_string("101"), 6))
 
+    def test_csv_cut_mid_entry_is_rejected(self, capsys):
+        _, out, _ = run(capsys, "triangle", "--mask", "101", "--n", "6", "--format", "csv")
+        for cut in (out[:-1], out[:-2]):
+            with pytest.raises(ValueError, match="newline"):
+                cli.parse_csv(cut)
+
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out, _ = run(capsys, "triangle", "--mask", "10", "--n", "5", "--format", "json")
         tri = cli.parse_json(out)

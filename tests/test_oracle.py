@@ -24,6 +24,22 @@ def all_masks(max_k):
             yield Mask(bits)
 
 
+def literal_counts(mask, n, first_columns):
+    """Reference oracle: walk every k-tuple of permutations literally.
+
+    The first column runs over ``first_columns``, the other k - 1 columns
+    over all n! permutations; each tuple adds 1 at its selected-row total.
+    """
+    perms = list(permutations(range(1, n + 1)))
+    records = {p: prefix_min_records(p) for p in perms}
+    counts = Counter()
+    for first in first_columns:
+        for rest in product(perms, repeat=mask.k - 1):
+            cols = [records[first], *(records[p] for p in rest)]
+            counts[sum(mask.bits[sum(i in c for c in cols)] for i in range(1, n + 1))] += 1
+    return counts
+
+
 class TestPrefixMinRecords:
     def test_examples(self):
         assert prefix_min_records((1, 2, 3)) == {1}
@@ -87,8 +103,32 @@ class TestHistogram:
             for n in range(1, nmax + 1):
                 assert histogram(mask, n).counts == tri.row(n)
 
+    def test_matches_literal_walk(self):
+        # the acceptance sizes: every mask with k <= 3
+        for mask in all_masks(3):
+            nmax = {1: 6, 2: 5, 3: 4}[mask.k]
+            for n in range(1, nmax + 1):
+                expected = literal_counts(mask, n, permutations(range(1, n + 1)))
+                assert histogram(mask, n).counts == expected
+
+    def test_partials_match_literal_walk(self):
+        for mask, n in ((Mask.from_string("011"), 4), (Mask.from_string("0110"), 3)):
+            for idx, perm in enumerate(permutations(range(1, n + 1))):
+                assert partial_histogram(mask, n, idx) == literal_counts(mask, n, (perm,))
+
+    def test_matches_triangle_past_the_default_budget(self):
+        # (7!)**2 is about 25.4M tuples and (6!)**3 about 373M
+        sizes = {2: (6, 7), 3: (5, 6)}
+        for mask in all_masks(3):
+            tri = triangle(mask, 7)
+            for n in sizes.get(mask.k, ()):
+                h = histogram(mask, n, budget=factorial(n) ** mask.k)
+                assert h.total() == factorial(n) ** mask.k
+                assert h.counts == tri.row(n)
+
     def test_partition_merge_equals_full(self):
-        for mask in (Mask.stirling(), Mask.from_string("011"), Mask.from_string("10")):
+        for mask in (Mask.stirling(), Mask.from_string("011"), Mask.from_string("10"),
+                     Mask.from_string("0110")):
             n = 3 if mask.k > 1 else 4
             whole = histogram(mask, n)
             merged = Counter()

@@ -4,7 +4,11 @@ Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 3 I/O error.  Identical invocations produce byte-identical output.
 ``triangle`` streams its rows to the output as they are computed; ``--out``
 is written through a temporary file in the target's directory that replaces
-the target only once the command has finished.
+the target only once the command has finished.  Exact integers and
+rationals that a command computes, tens of thousands of digits in
+``bounds``, are rendered through ``_exact_str``: a divide-and-conquer
+conversion to ``decimal.Decimal``, whose string takes linear time where
+``str(int)`` before Python 3.12 takes time quadratic in the digit count.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, prod
@@ -40,6 +45,41 @@ __all__ = [
 
 
 # ---------------------------------------------------------------- rendering
+
+# Ints of at most 2**_LEAF_LOG2 bits convert directly; larger ones split at
+# bit 2**(e-1).  _POW2[e] is Decimal(2) ** 2**e, shared by every conversion
+# of the process; a lost or repeated store only recomputes an exact value.
+_LEAF_LOG2 = 11
+_POW2: dict[int, Decimal] = {}
+
+
+def _int_to_decimal(n: int) -> Decimal:
+    """n >= 0 as an exact Decimal; call under numbers._EXACT."""
+    e = (n.bit_length() - 1).bit_length()  # least e with n < 2**(2**e)
+    if e <= _LEAF_LOG2:
+        return Decimal(n)
+    half = 1 << (e - 1)
+    pow2 = _POW2.get(e - 1)
+    if pow2 is None:
+        pow2 = _POW2[e - 1] = Decimal(2) ** half
+    hi = n >> half
+    return _int_to_decimal(n - (hi << half)) + _int_to_decimal(hi) * pow2
+
+
+def _exact_str(x: int | Fraction) -> str:
+    """``str(x)`` for an int or a Fraction, without str(int)'s quadratic time.
+
+    The conversion runs under the trapping ``numbers._EXACT`` context, so
+    a step that would round raises instead of printing a wrong digit.
+    """
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return _exact_str(x.numerator)
+        return f"{_exact_str(x.numerator)}/{_exact_str(x.denominator)}"
+    with localcontext(numbers._EXACT):
+        digits = str(_int_to_decimal(abs(x)))
+    return "-" + digits if x < 0 else digits
+
 
 def triangle_entries(tri: numbers.Triangle) -> list[tuple[int, int, int]]:
     """Stored entries as (n, m, value), ordered by n then m."""
@@ -88,11 +128,12 @@ def _chunks(fmt: str, mask: numbers.Mask | None, rows):
 
 
 def _triangle_rows(tri: numbers.Triangle):
-    return ((n, sorted(tri.rows[n].items())) for n in range(1, tri.max_n + 1))
+    return ((n, [(m, _exact_str(v)) for m, v in sorted(tri.rows[n].items())])
+            for n in range(1, tri.max_n + 1))
 
 
 def render_csv(entries) -> str:
-    rows = ((n, [(m, v) for _, m, v in group])
+    rows = ((n, [(m, _exact_str(v)) for _, m, v in group])
             for n, group in groupby(entries, key=itemgetter(0)))
     return "".join(_chunks("csv", None, rows))
 
@@ -341,10 +382,10 @@ def cmd_poly(args: argparse.Namespace, out) -> int:
     make = numbers.rising_poly if args.kind == "rising" else numbers.falling_poly
     poly = make(args.mask, args.max_n)
     lines = [f"mask {args.mask} n {args.max_n} kind {args.kind}",
-             "coefficients " + ",".join(str(c) for c in poly.coefficients)]
+             "coefficients " + ",".join(map(_exact_str, poly.coefficients))]
     if args.zeros:
         zs = numbers.poly_zeros(args.mask, args.max_n, args.kind)
-        lines.append("zeros " + ",".join("undef" if z is None else str(z) for z in zs))
+        lines.append("zeros " + ",".join("undef" if z is None else _exact_str(z) for z in zs))
     _write(out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -353,25 +394,31 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
     mask, n = args.mask, args.max_n
     report = bounds.ratio_report(mask, n, args.m1 or (1, 2, 3))
     ok = True
-    lines = [f"mask {mask} k {mask.k} n {n}",
-             f"lambda {report.lam}",
-             f"lambda_prime {report.lam_prime}"]
+
+    # Lines are written as they are rendered: the report at n = 300 is about
+    # 12 MB, and holding it whole set the command's peak memory.
+    def line(text: str) -> None:
+        _write(out, text + "\n")
+
+    line(f"mask {mask} k {mask.k} n {n}")
+    line(f"lambda {_exact_str(report.lam)}")
+    line(f"lambda_prime {_exact_str(report.lam_prime)}")
     for m in mask.support(n):
         ub = report.upper_bounds[m]
         v = numbers.value(mask, n, m)
         good = ub >= v
         ok &= good
-        lines.append(f"m {m} ocmax {ub} value {v} dominance {'PASS' if good else 'FAIL'}")
+        line(f"m {m} ocmax {_exact_str(ub)} value {_exact_str(v)} "
+             f"dominance {'PASS' if good else 'FAIL'}")
     for t in report.tails:
         ok &= t.ok
-        lines.append(f"tail m1 {t.m1} M {t.threshold} probability {t.probability} "
-                     f"bound {t.bound!r} {'PASS' if t.ok else 'FAIL'}")
+        line(f"tail m1 {t.m1} M {t.threshold} probability {_exact_str(t.probability)} "
+             f"bound {t.bound!r} {'PASS' if t.ok else 'FAIL'}")
     ok &= report.ratio_ok and report.ratio_prime_ok
-    lines.append(f"ratio {report.ratio} (~{_fstr(report.ratio)}) within e^lambda "
-                 f"{'PASS' if report.ratio_ok else 'FAIL'}")
-    lines.append(f"ratio_prime {report.ratio_prime} (~{_fstr(report.ratio_prime)}) "
-                 f"within e^lambda_prime {'PASS' if report.ratio_prime_ok else 'FAIL'}")
-    _write(out, "\n".join(lines) + "\n")
+    line(f"ratio {_exact_str(report.ratio)} (~{_fstr(report.ratio)}) within e^lambda "
+         f"{'PASS' if report.ratio_ok else 'FAIL'}")
+    line(f"ratio_prime {_exact_str(report.ratio_prime)} (~{_fstr(report.ratio_prime)}) "
+         f"within e^lambda_prime {'PASS' if report.ratio_prime_ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -388,7 +435,8 @@ def cmd_stirling(args: argparse.Namespace, out) -> int:
             for m in sorted(set(got) | set(want)):
                 if got.get(m, 0) != want.get(m, 0):
                     lines.append(f"MISMATCH n={nn} m={m} "
-                                 f"triangle={got.get(m, 0)} reference={want.get(m, 0)}")
+                                 f"triangle={_exact_str(got.get(m, 0))} "
+                                 f"reference={_exact_str(want.get(m, 0))}")
     if clean:
         lines.append(f"OK: {n} rows identical")
     _write(out, "\n".join(lines) + "\n")

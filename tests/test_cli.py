@@ -1,18 +1,24 @@
 """CLI contract tests: formats, round-trips, exit codes."""
 
+import decimal
 import json
 import os
+import random
 import re
 import stat
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 from itertools import product
+from math import log10
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seqopt.cli as cli
-from seqopt import numbers
+from seqopt import bounds, numbers
 from seqopt.numbers import Mask, triangle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -337,3 +343,140 @@ class TestStirlingCommand:
         code, out, _ = run(capsys, "stirling", "--n", "5")
         assert code == 1
         assert "MISMATCH" in out
+
+
+@pytest.fixture
+def unlimited_int_str():
+    """Lift the int-to-str digit guard so that builtin str can be the reference."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def _signed_int(width, seed, negative):
+    x = random.Random(seed).getrandbits(width)
+    return -x if negative else x
+
+
+# A signed int of up to ~200k bits: hypothesis picks the width and a seed,
+# random fills the bits (hypothesis' own buffer is too small for the width).
+big_ints = st.builds(_signed_int, st.one_of(st.integers(0, 5000), st.integers(0, 200_000)),
+                     st.integers(0, 2**32), st.booleans())
+
+# 2**w - 1, 2**w and 10**d - 1, 10**d at the 2**11-bit leaf and at the
+# split points 2**(2**e) above it, where the conversion changes depth.
+_EDGE_WIDTHS = [2**e + d for e in range(11, 18) for d in (-1, 0, 1)]
+_EDGE_DIGITS = [int(w * log10(2)) + d for w in _EDGE_WIDTHS for d in (0, 1)]
+_EDGES = sorted({x for w in _EDGE_WIDTHS for x in (2**w - 1, 2**w)}
+                | {x for d in _EDGE_DIGITS for x in (10**d - 1, 10**d)})
+
+
+@pytest.mark.usefixtures("unlimited_int_str")
+class TestExactStr:
+    """cli._exact_str is byte-for-byte builtin str for ints and Fractions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_ints)
+    def test_ints_equal_builtin_str(self, x):
+        assert cli._exact_str(x) == str(x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(big_ints, st.one_of(st.just(1), big_ints.filter(bool).map(abs)))
+    def test_fractions_equal_builtin_str(self, num, den):
+        x = Fraction(num, den)
+        assert cli._exact_str(x) == str(x)
+
+    def test_zero_signs_and_whole_fractions(self):
+        for x in (0, 1, -1, 9, 10, -10**6, Fraction(0), Fraction(-7), Fraction(-3, 4),
+                  Fraction(10**700, 1), Fraction(-(2**5000)), Fraction(-(2**5000), 3)):
+            assert cli._exact_str(x) == str(x)
+
+    def test_leaf_and_split_edges(self):
+        assert len(_EDGES) > 50
+        for x in _EDGES:
+            for signed in (x, -x):
+                assert cli._exact_str(signed) == str(signed), x.bit_length()
+
+    def test_exact_inside_a_low_precision_caller_context(self):
+        x = 3**100_000
+        with decimal.localcontext(decimal.Context(prec=5)) as ctx:
+            before = repr(ctx)
+            assert cli._exact_str(x) == str(x)
+            assert cli._exact_str(Fraction(-x, 7)) == f"-{x}/7"
+            assert decimal.getcontext() is ctx
+            assert repr(ctx) == before
+
+    def test_a_rounding_step_raises(self, monkeypatch):
+        # The conversion reads numbers._EXACT; give it too little precision
+        # and the trap fires instead of a wrong digit being printed.
+        monkeypatch.setattr(numbers, "_EXACT", numbers._EXACT.copy())
+        numbers._EXACT.prec = 50
+        with pytest.raises((decimal.Inexact, decimal.Rounded)):
+            cli._exact_str(2**5000 + 1)
+
+    def test_threads_on_a_cold_power_cache(self):
+        rng = random.Random(5)
+        values = [rng.getrandbits(100_000) | 1 << 99_999 for _ in range(12)]
+        want = [str(v) for v in values]
+        got = [None] * len(values)
+        errors = []
+        start = threading.Barrier(4)
+
+        def render(first):
+            try:
+                start.wait(timeout=30)
+                for i in range(first, len(values), 4):
+                    cli._POW2.clear()
+                    got[i] = cli._exact_str(values[i])
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=render, args=(i,)) for i in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert got == want
+
+    def test_bounds_past_several_splits_equal_a_builtin_str_reference(self, capsys):
+        mask, n = Mask.stirling(), 150
+        rep = bounds.ratio_report(mask, n, (1, 2, 3))
+        assert max(ub.numerator.bit_length() for ub in rep.upper_bounds.values()) > 2**14
+        want = [f"mask {mask} k {mask.k} n {n}", f"lambda {rep.lam}",
+                f"lambda_prime {rep.lam_prime}"]
+        want += [f"m {m} ocmax {rep.upper_bounds[m]} value {numbers.value(mask, n, m)} "
+                 "dominance PASS" for m in mask.support(n)]
+        want += [f"tail m1 {t.m1} M {t.threshold} probability {t.probability} "
+                 f"bound {t.bound!r} PASS" for t in rep.tails]
+        want += [f"ratio {rep.ratio} (~{cli._fstr(rep.ratio)}) within e^lambda PASS",
+                 f"ratio_prime {rep.ratio_prime} (~{cli._fstr(rep.ratio_prime)}) "
+                 "within e^lambda_prime PASS"]
+        code, out, _ = run(capsys, "bounds", "--mask", "01", "--n", str(n))
+        assert code == 0
+        got = out.splitlines()
+        assert len(got) == len(want)
+        assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
+    @pytest.mark.parametrize("text", ["01", "011"])
+    def test_poly_past_the_leaf_equals_a_builtin_str_reference(self, capsys, text):
+        mask, n = Mask.from_string(text), 400
+        poly = numbers.rising_poly(mask, n)
+        assert max(c.bit_length() for c in poly.coefficients) > 2**11
+        zeros = numbers.poly_zeros(mask, n, "rising")
+        code, out, _ = run(capsys, "poly", "--mask", text, "--n", str(n), "--zeros")
+        assert code == 0
+        assert out.splitlines() == [
+            f"mask {mask} n {n} kind rising",
+            "coefficients " + ",".join(str(c) for c in poly.coefficients),
+            "zeros " + ",".join("undef" if z is None else str(z) for z in zeros)]

@@ -17,7 +17,9 @@ counted.  The triangle is produced by the all-integer recurrence
 seeded with ``value(1, c_k) = 1``.  One row step multiplies the generating
 product ``x * prod_{j=2..n} (g_weight(j, mask)*x + g_weight(j, ~mask))`` by
 its next linear factor, so ``rising_poly`` and ``falling_poly`` read row n
-off the same row step, folded without the row store.  ``explicit_value``
+off the same row step.  Rows are folded on demand and never stored for the
+life of the process: ``triangle`` keeps the rows it returns, and ``value``
+keeps only the last few rows it was asked for.  ``explicit_value``
 recomputes single entries from an elementary-symmetric sum over the
 rational column weights and exists, together with the exhaustive counter
 in ``seqopt.oracle``, as an independent route to the same integers.
@@ -31,11 +33,11 @@ time where an int of d digits takes time quadratic in d.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
@@ -157,12 +159,6 @@ def g_weight(j: int, vec: Mask) -> int:
     return sum(comb(k, p) * base ** (k - p) for p, bit in enumerate(vec.bits) if bit)
 
 
-# Unsigned rows keyed by mask; row n is an immutable tuple indexed 0..n with
-# slot 0 unused, so cached state can never be corrupted through a Triangle.
-# Rows are only ever appended, and only under _ROW_LOCK.
-_ROW_CACHE: dict[Mask, list[tuple[int, ...]]] = {}
-_ROW_LOCK = threading.Lock()
-
 # Decimal arithmetic that raises rather than rounds: at this precision and
 # exponent range a sum or product of integers is always exact, and any
 # operation that is not exact traps.
@@ -180,27 +176,33 @@ def _row_step(prev: tuple, gc, gp) -> tuple:
     return (prev[0], *[gc * a + gp * b for a, b in zip(prev, prev[1:] + prev[:1])])
 
 
-def _unsigned_rows(mask: Mask, max_n: int) -> list[tuple[int, ...]]:
-    with _ROW_LOCK:
-        rows = _ROW_CACHE.setdefault(mask, [(0, 1)])
-        have = len(rows)
-    if have >= max_n:
-        return rows
+def _unsigned_rows(mask: Mask, max_n: int):
+    """Yield unsigned rows 1..max_n as int tuples, uncached.
+
+    Row n is indexed 0..n with slot 0 unused; only the previous row is held.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     comp = mask.complement()
-    built = [rows[have - 1]]
-    for n in range(have, max_n):
-        built.append(_row_step(built[-1], g_weight(n + 1, mask), g_weight(n + 1, comp)))
-    with _ROW_LOCK:
-        # Another thread may have published some of these rows meanwhile;
-        # rows are deterministic, so append only the ones still missing.
-        rows.extend(built[len(rows) - have + 1:])
-    return rows
+    row = (0, 1)
+    yield row
+    for n in range(1, max_n):
+        row = _row_step(row, g_weight(n + 1, mask), g_weight(n + 1, comp))
+        yield row
+
+
+@lru_cache(maxsize=4)
+def _row(mask: Mask, n: int) -> tuple[int, ...]:
+    """Unsigned row n alone; the last few rows asked for stay cached."""
+    for row in _unsigned_rows(mask, n):
+        pass
+    return row
 
 
 def decimal_rows(mask: Mask, max_n: int):
     """Yield unsigned rows 1..max_n as exact ``Decimal`` tuples, uncached.
 
-    Same recurrence and layout as the cached int rows; only the previous
+    Same recurrence and layout as ``_unsigned_rows``; only the previous
     row is held.  The exact context is active only while a row is built,
     never in the caller across a ``yield``.
     """
@@ -248,10 +250,8 @@ def triangle(mask: Mask, max_n: int) -> Triangle:
     >>> triangle(Mask.stirling(), 4).row(4)
     {1: 6, 2: 11, 3: 6, 4: 1}
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    all_rows = _unsigned_rows(mask, max_n)
-    rows = {n: row_entries(mask, all_rows[n - 1]) for n in range(1, max_n + 1)}
+    urows = _unsigned_rows(mask, max_n)
+    rows = {n: row_entries(mask, urow) for n, urow in enumerate(urows, 1)}
     return Triangle(mask, max_n, rows)
 
 
@@ -262,7 +262,7 @@ def value(mask: Mask, n: int, m: int) -> int:
     u = m - mask.offset + 1
     if u < 1 or u > n:
         return 0
-    return _unsigned_rows(mask, n)[n - 1][u]
+    return _row(mask, n)[u]
 
 
 def explicit_value(mask: Mask, n: int, m: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> int:
@@ -325,16 +325,11 @@ def rising_poly(mask: Mask, n: int) -> IntPolynomial:
 
     Multiplying by one linear factor is one step of the row recurrence,
     so the coefficients are unsigned row n: the coefficient of x**u is
-    value(mask, n, u + offset - 1).  The row is folded here from row 1 and
-    never enters the row store.
+    value(mask, n, u + offset - 1).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    comp = mask.complement()
-    row = (0, 1)
-    for j in range(2, n + 1):
-        row = _row_step(row, g_weight(j, mask), g_weight(j, comp))
-    return IntPolynomial(row, "rising")
+    return IntPolynomial(_row(mask, n), "rising")
 
 
 def falling_poly(mask: Mask, n: int) -> IntPolynomial:
@@ -372,22 +367,28 @@ def poly_zeros(mask: Mask, n: int, kind: str = "rising") -> list[Fraction | None
     return zeros
 
 
-def stirling_ref(max_n: int) -> dict[int, dict[int, int]]:
-    """Classic unsigned Stirling numbers of the first kind, rows 1..max_n.
+def _stirling_rows(max_n: int):
+    """Yield rows 1..max_n of the classic unsigned Stirling numbers as ``{m: s(n, m)}``.
 
     Uses the textbook recurrence s(n+1, m) = s(n, m-1) + n*s(n, m) with
-    s(1, 1) = 1.  Kept deliberately separate from triangle() so the two
-    can be diffed as independent computations.
+    s(1, 1) = 1, and holds only the previous row.  Kept deliberately
+    separate from the row step and the weights so that the two can be
+    diffed as independent computations.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    table: dict[int, dict[int, int]] = {1: {1: 1}}
+    row = {1: 1}
+    yield row
     for n in range(1, max_n):
-        row = table[n]
         nxt: dict[int, int] = {}
         for m in range(1, n + 2):
             v = row.get(m - 1, 0) + n * row.get(m, 0)
             if v:
                 nxt[m] = v
-        table[n + 1] = nxt
-    return table
+        row = nxt
+        yield row
+
+
+def stirling_ref(max_n: int) -> dict[int, dict[int, int]]:
+    """Classic unsigned Stirling numbers of the first kind, rows 1..max_n."""
+    return dict(enumerate(_stirling_rows(max_n), 1))

@@ -40,6 +40,22 @@ def corrupting_factory(mask, max_n):
     return tri
 
 
+def corrupting_rows(rows_of, target=None):
+    """Wrap a row generator so that the first entry of row ``target`` gains 1.
+
+    ``target`` defaults to the last row, which is the entry corrupting_factory
+    changes in a whole triangle.
+    """
+    def rows(mask, max_n):
+        bad = max_n if target is None else target
+        for n, urow in enumerate(rows_of(mask, max_n), 1):
+            if n == bad:
+                u = next(u for u, c in enumerate(urow) if u and c)
+                urow = urow[:u] + (urow[u] + 1,) + urow[u + 1:]
+            yield urow
+    return rows
+
+
 class TestTriangleCommand:
     def test_csv_contains_known_entry(self, capsys):
         code, out, _ = run(capsys, "triangle", "--mask", "01", "--n", "4", "--format", "csv")
@@ -338,11 +354,71 @@ class TestStirlingCommand:
         assert code == 0
         assert out == "OK: 10 rows identical\n"
 
+    def test_two_hundred_rows(self, capsys):
+        assert run(capsys, "stirling", "--n", "200") == (0, "OK: 200 rows identical\n", "")
+
     def test_mismatch_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting_factory)
+        monkeypatch.setattr(numbers, "_unsigned_rows", corrupting_rows(numbers._unsigned_rows))
         code, out, _ = run(capsys, "stirling", "--n", "5")
         assert code == 1
         assert "MISMATCH" in out
+
+    def test_middle_row_mismatch_lines(self, capsys, monkeypatch):
+        mask = Mask.stirling()
+        corrupted = corrupting_rows(numbers._unsigned_rows, target=3)
+        ref = numbers.stirling_ref(7)
+        want = []
+        for n, urow in enumerate(corrupted(mask, 7), 1):
+            got = numbers.row_entries(mask, urow)
+            want += [f"MISMATCH n={n} m={m} triangle={got.get(m, 0)} "
+                     f"reference={ref[n].get(m, 0)}"
+                     for m in sorted(set(got) | set(ref[n]))
+                     if got.get(m, 0) != ref[n].get(m, 0)]
+        assert want == ["MISMATCH n=3 m=1 triangle=3 reference=2"]
+        monkeypatch.setattr(numbers, "_unsigned_rows", corrupted)
+        assert run(capsys, "stirling", "--n", "7") == (1, "\n".join(want) + "\n", "")
+
+    def test_streams_under_an_address_space_cap(self):
+        # Rows are compared a pair at a time, so n = 800 fits in 150 MB of
+        # address space; a whole triangle with a reference table beside it
+        # does not.  The cap is set in the child only.
+        resource = pytest.importorskip("resource")
+        cap = 150 * 2**20
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "seqopt.cli", "stirling", "--n", "800"],
+                              env=env, preexec_fn=limit, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "OK: 800 rows identical\n"), proc.stderr
+
+
+@pytest.fixture
+def default_int_str_guard():
+    """The interpreter's default int-to-str digit guard, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit guard")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
+
+
+class TestIntStrGuard:
+    def test_main_leaves_the_guard_alone(self, capsys, default_int_str_guard):
+        assert run(capsys, "bounds", "--mask", "01", "--n", "30")[0] == 0
+        assert run(capsys, "stirling", "--n", "5")[0] == 0
+        assert sys.get_int_max_str_digits() == default_int_str_guard
+
+    def test_n_of_5000_digits_is_usage_error(self, capsys, default_int_str_guard):
+        # The unwritable --out makes an --n that parses fail fast with exit 3
+        # instead of starting a triangle of 10**5000 rows.
+        code, _, err = run(capsys, "triangle", "--mask", "01", "--n", "9" * 5000,
+                           "--out", "/no-such-directory/t.csv")
+        assert code == 2
+        assert "--n" in err
 
 
 @pytest.fixture

@@ -316,12 +316,20 @@ class TestStirlingRef:
         tri = triangle(Mask.stirling(), 12)
         assert all(tri.row(n) == ref[n] for n in range(1, 13))
 
+    def test_rejects_empty_table(self):
+        with pytest.raises(ValueError):
+            stirling_ref(0)
+
+    def test_streamed_rows_match_triangle(self):
+        tri = triangle(Mask.stirling(), 60)
+        assert list(numbers._stirling_rows(60)) == [tri.row(n) for n in range(1, 61)]
+
 
 class TestDecimalRows:
     @pytest.mark.parametrize("mask", list(all_masks(3)), ids=str)
     def test_equal_to_cached_int_rows(self, mask):
         rows = [tuple(int(c) for c in row) for row in decimal_rows(mask, 15)]
-        assert rows == numbers._unsigned_rows(mask, 15)[:15]
+        assert rows == list(numbers._unsigned_rows(mask, 15))
 
     def test_caller_context_untouched_by_partly_consumed_generator(self):
         with decimal.localcontext(decimal.Context(prec=5)) as ctx:
@@ -347,39 +355,41 @@ class TestDecimalRows:
             next(decimal_rows(Mask.stirling(), 0))
 
 
-class TestRowCacheThreads:
-    def test_concurrent_cold_builds_publish_every_row_once(self):
+class TestRowFoldThreads:
+    def test_concurrent_folds_and_cache_clears_give_exact_rows(self):
+        # Each thread folds rows 1..n_max and checks their sums, and reads
+        # rows 1..value_max back entry by entry through value() while the
+        # other threads clear value()'s row cache.  Every clear costs value()
+        # a refold, so reading all n_max rows back would take cubic time.
         mask = Mask.from_string("011")
-        n_max = 400
-        saved = numbers._ROW_CACHE.pop(mask, None)
+        n_max, value_max = 400, 60
         interval = sys.getswitchinterval()
-        errors = []
+        start = threading.Barrier(4)
+        bad = []
 
-        def build():
+        def work():
             try:
-                numbers._unsigned_rows(mask, n_max)
+                start.wait(timeout=60)
+                fact = 1
+                for n, row in enumerate(numbers._unsigned_rows(mask, n_max), 1):
+                    fact *= n
+                    if len(row) != n + 1 or sum(row) != fact**2:
+                        bad.append(n)
+                    if n <= value_max:
+                        numbers._row.cache_clear()
+                        if tuple(value(mask, n, m) for m in mask.support(n)) != row[1:]:
+                            bad.append(n)
             except Exception as exc:  # reported through the assertion below
-                errors.append(exc)
+                bad.append(exc)
 
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=build) for _ in range(4)]
+            workers = [threading.Thread(target=work) for _ in range(4)]
             for w in workers:
                 w.start()
             for w in workers:
                 w.join(timeout=60)
             assert not any(w.is_alive() for w in workers)
-            assert errors == []
-            rows = numbers._ROW_CACHE[mask]
-            assert len(rows) == n_max
-            fact = 1
-            for n, row in enumerate(rows, 1):
-                fact *= n
-                assert len(row) == n + 1
-                assert sum(row) == fact**2
+            assert bad == []
         finally:
             sys.setswitchinterval(interval)
-            if saved is None:
-                numbers._ROW_CACHE.pop(mask, None)
-            else:
-                numbers._ROW_CACHE[mask] = saved

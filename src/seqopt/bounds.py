@@ -10,6 +10,16 @@ exceeds e**lam, and for masks with first bit 0 the mass beyond an
 explicit threshold M is below e**-M1.  Masks with first bit 1 get the
 mirrored statement through the complement-mask symmetry.
 
+In integers, with lam = a/b and G_s = prod_{j=2..s+1} g_weight(j, ~mask)
+(so that the f_weight product above is G_{n-t} / ((n-t)!)**k), the bound
+at position t is A_t / B_t with
+
+    A_t = ((n-1)!)**k * a**(t-1) * G_{n-t}
+    B_t = b**(t-1) * (t-1)! * ((n-t)!)**k
+
+``ocmax_terms`` yields these unreduced pairs, so that a dominance check
+can test A_t >= v * B_t without taking a gcd.
+
 Everything rational stays a ``fractions.Fraction``; e**x, pi**2/6 and
 e**-M1 only enter at the final comparison, evaluated to 50 significant
 digits with a fixed 1e-12 acceptance margin on top of the bound.
@@ -34,10 +44,12 @@ __all__ = [
     "TailCheck",
     "exp_bound_holds",
     "h_dot",
+    "h_dots",
     "h_vector",
     "mirrored_tail",
     "ocmax",
     "ocmax_row",
+    "ocmax_terms",
     "ratio_report",
     "tail_probability",
     "tail_threshold",
@@ -59,28 +71,53 @@ def exp_bound_holds(lhs: Fraction, exponent) -> bool:
         return bool(left <= rhs + mpmath.mpf(10) ** -12)
 
 
+def _harmonic_sums(k: int, max_n: int):
+    """Yield [sum_{j=1..n-1} 1/j**p for p = 0..k] for n = 1..max_n, as running sums."""
+    if max_n < 1:
+        raise ValueError(f"n must be >= 1, got {max_n}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    sums = [Fraction(0)] * (k + 1)
+    for n in range(1, max_n + 1):
+        yield sums
+        sums = [s + Fraction(1, n**p) for p, s in enumerate(sums)]
+
+
+def _last(values):
+    """The last item of a nonempty iterable."""
+    for value in values:
+        pass
+    return value
+
+
+def _dot(sums: list[Fraction], mask: Mask) -> Fraction:
+    """h_dot from one row of running sums: sum of comb(k, p) * sums[p] over the mask's bits."""
+    k = mask.k
+    return sum((comb(k, p) * s for p, s in enumerate(sums) if mask.bits[p]), Fraction(0))
+
+
 def h_vector(n: int, k: int) -> tuple[Fraction, ...]:
     """Partial harmonic power sums h_p = comb(k, p) * sum_{j=1..n-1} 1/j**p.
 
     Exact, for p = 0..k; h_0 is always n - 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return tuple(
-        comb(k, p) * sum((Fraction(1, j**p) for j in range(1, n)), Fraction(0))
-        for p in range(k + 1)
-    )
+    return tuple(comb(k, p) * s for p, s in enumerate(_last(_harmonic_sums(k, n))))
+
+
+def h_dots(mask: Mask, max_n: int):
+    """Yield h_dot(n, mask) for n = 1..max_n from one running harmonic sum."""
+    for sums in _harmonic_sums(mask.k, max_n):
+        yield _dot(sums, mask)
 
 
 def h_dot(n: int, mask: Mask) -> Fraction:
     """Dot product of the harmonic vector with the mask bits, p = 0 included.
 
-    Identically equal to sum(f_weight(j, mask) for j in 2..n); that
-    identity is enforced in the test suite.
+    The last value of h_dots(mask, n).  Identically equal to
+    sum(f_weight(j, mask) for j in 2..n); that identity is enforced in the
+    test suite and by ``verify``.
     """
-    return sum((e for e, bit in zip(h_vector(n, mask.k), mask.bits) if bit), Fraction(0))
+    return _dot(_last(_harmonic_sums(mask.k, n)), mask)
 
 
 def ocmax(mask: Mask, n: int, m: int) -> Fraction:
@@ -124,6 +161,41 @@ def ocmax_row(mask: Mask, n: int) -> dict[int, Fraction]:
     return out
 
 
+def _comp_products(mask: Mask, n: int) -> list[int]:
+    """G_s = prod_{j=2..s+1} g_weight(j, ~mask) for s = 0..n-1.
+
+    G_s is (s!)**k times the product of f_weight(j, ~mask) over the same j.
+    """
+    comp = mask.complement()
+    su = [1] * n
+    for s in range(1, n):
+        su[s] = su[s - 1] * g_weight(s + 1, comp)
+    return su
+
+
+def ocmax_terms(mask: Mask, n: int, lam: Fraction):
+    """Yield row n's upper bounds as unreduced pairs (A_t, B_t), t = 1..n.
+
+    A_t / B_t equals ocmax at support position t when lam == h_dot(n,
+    mask); see the module docstring.  No gcd is taken, so a caller that
+    only compares the bound with an integer v tests A_t >= v * B_t.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    k = mask.k
+    a, b = lam.numerator, lam.denominator
+    su = _comp_products(mask, n)
+    fk = [1] * n  # fk[s] = (s!)**k
+    for s in range(1, n):
+        fk[s] = fk[s - 1] * s**k
+    a_pow = b_pow = fact = 1  # a**(t-1), b**(t-1), (t-1)!
+    for t in range(1, n + 1):
+        yield a_pow * (fk[n - 1] * su[n - t]), b_pow * (fact * fk[n - t])
+        a_pow *= a
+        b_pow *= b
+        fact *= t
+
+
 def upper_ratio(mask: Mask, n: int) -> Fraction:
     """Row total of the upper bounds divided by (n!)**k, exactly.
 
@@ -134,13 +206,9 @@ def upper_ratio(mask: Mask, n: int) -> Fraction:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     k = mask.k
-    comp = mask.complement()
     lam = h_dot(n, mask)
     a, b = lam.numerator, lam.denominator
-    # su[s] = prod_{j=2..s+1} g_weight(j, comp) = (s!)**k * suffix product of f_weight(., comp)
-    su = [1] * n
-    for s in range(1, n):
-        su[s] = su[s - 1] * g_weight(s + 1, comp)
+    su = _comp_products(mask, n)
     fact_n1 = factorial(n - 1)
     # cs[t-1] scales term t onto the common denominator (n-1)! * b**(n-1) * (n!)**k
     cs = [0] * n

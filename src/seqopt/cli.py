@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import factorial, prod
 from operator import itemgetter
 
@@ -267,6 +267,8 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
               for n in range(1, n_cap + 1) for m in mask.support(n)),
           f"subset expansion matches the recurrence for n <= {n_cap}")
 
+    # Row n's roots are the first n of row max_n's: one list per kind.
+    all_zeros = {kind: numbers.poly_zeros(mask, max_n, kind) for kind in ("rising", "falling")}
     poly_ok = True
     for n in range(1, max_n + 1):
         # Row n as the coefficients of x**0..x**n, and the falling product's
@@ -274,7 +276,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
         rising = [tri.value(n, u + mask.offset - 1) for u in range(n + 1)]
         falling = [-c if (n + u) % 2 else c for u, c in enumerate(rising)]
         for kind, sign, coeffs in (("rising", 1, rising), ("falling", -1, falling)):
-            zeros = numbers.poly_zeros(mask, n, kind)
+            zeros = all_zeros[kind][:n]
             roots = [z for z in zeros if z is not None]
             # A slot of None marks a factor with g_weight(j, mask) == 0: it
             # is the constant sign * g_weight(j, ~mask) and has no root.
@@ -291,28 +293,31 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
     seq = [numbers.f_weight(j, mask) for j in js]
     weights_ok = all(a >= b for a, b in zip(seq, seq[1:]))
     weights_ok &= prod(seq, start=Fraction(1)) <= (max_n + 1) ** k
-    weights_ok &= all(numbers.f_weight(j, mask) + numbers.f_weight(j, comp)
-                      == Fraction(j, j - 1) ** k for j in js)
+    weights_ok &= all(f + numbers.f_weight(j, comp) == Fraction(j, j - 1) ** k
+                      for j, f in zip(js, seq))
     weights_ok &= all(numbers.g_weight(j, mask) + numbers.g_weight(j, comp) == j ** k
                       for j in js)
     if mask.bits[0] == 1:
         weights_ok &= all(w >= 1 for w in seq)
     check("weights", weights_ok, "monotone in j, bounded product, complement sums")
 
-    check("harmonic-dot",
-          all(bounds.h_dot(n, mask)
-              == sum((numbers.f_weight(j, mask) for j in range(2, n + 1)), Fraction(0))
-              for n in range(1, max_n + 1)),
+    # lams[n - 1] = h_dot(n, mask), against the partial sums of seq up to j = n.
+    lams = list(bounds.h_dots(mask, max_n))
+    check("harmonic-dot", lams == list(accumulate(seq[:-1], initial=Fraction(0))),
           "h_dot equals the f_weight partial sums")
 
+    # ocmax(mask) at support position t bounds the entry at position t; the
+    # complement's bound at its position t bounds the entry at n + 1 - t, so
+    # that pass walks the support from the top.  Each bound is an integer
+    # pair A/B, and it covers v when A >= v * B.  As v * B < 2**(bits of v +
+    # bits of B), an A with more bits covers v without the product.
     dom_ok = True
-    for n in range(1, max_n + 1):
-        row_ub = bounds.ocmax_row(mask, n)
-        comp_ub = bounds.ocmax_row(comp, n)
-        for m in mask.support(n):
-            v = tri.value(n, m)
-            dom_ok &= row_ub[m] >= v
-            dom_ok &= v <= comp_ub[n - m]
+    for n, lam, lam_c in zip(range(1, max_n + 1), lams, bounds.h_dots(comp, max_n)):
+        support = mask.support(n)
+        for ms, vec, h in ((support, mask, lam), (reversed(support), comp, lam_c)):
+            for m, (a, b) in zip(ms, bounds.ocmax_terms(vec, n, h)):
+                v = tri.value(n, m)
+                dom_ok &= a.bit_length() > v.bit_length() + b.bit_length() or a >= v * b
     check("upper-bound-dominance", dom_ok,
           "ocmax covers every entry, complement cross-bound included")
 
@@ -453,21 +458,41 @@ def _mask_arg(text: str) -> numbers.Mask:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _positive_int(text: str) -> int:
+def _clip(text: str, width: int = 40) -> str:
+    """text, cut after ``width`` characters."""
+    return text[:width] + "..." if len(text) > width else text
+
+
+def _int(part: str, text: str, what: str) -> int:
+    """int(part), or a usage error that names the cause and echoes at most a clip of text.
+
+    An int of more digits than ``sys.get_int_max_str_digits()`` allows is
+    refused by int() itself; that is reported as too many digits, not as
+    a malformed number.
+    """
     try:
-        n = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        return int(part)
+    except ValueError:
+        pass
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    digits = sum(ch.isdigit() for ch in part)
+    if limit and digits > limit:
+        raise argparse.ArgumentTypeError(
+            f"too many digits ({digits}; sys.get_int_max_str_digits() is {limit}): "
+            f"{_clip(text)!r}")
+    raise argparse.ArgumentTypeError(f"{what}: {_clip(text)!r}")
+
+
+def _positive_int(text: str) -> int:
+    n = _int(text, text, "not an integer")
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {_clip(str(n))}")
     return n
 
 
 def _m1_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
+    values = tuple(_int(part, text, "not a comma-separated int list")
+                   for part in text.split(","))
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("every m1 must be >= 1")
     return values

@@ -10,10 +10,12 @@ import pytest
 from seqopt.bounds import (
     exp_bound_holds,
     h_dot,
+    h_dots,
     h_vector,
     mirrored_tail,
     ocmax,
     ocmax_row,
+    ocmax_terms,
     ratio_report,
     tail_probability,
     tail_threshold,
@@ -62,6 +64,14 @@ class TestHDot:
                 direct = sum((f_weight(j, mask) for j in range(2, n + 1)), Fraction(0))
                 assert h_dot(n, mask) == direct
 
+    def test_running_sums_match_each_row(self):
+        for mask in all_masks(3):
+            assert list(h_dots(mask, 15)) == [h_dot(n, mask) for n in range(1, 16)]
+
+    def test_running_sums_validation(self):
+        with pytest.raises(ValueError):
+            next(h_dots(Mask.stirling(), 0))
+
 
 class TestOcmax:
     def test_examples(self):
@@ -89,6 +99,20 @@ class TestOcmax:
         for mask in all_masks(2):
             for n in (1, 2, 5, 9):
                 assert ocmax_row(mask, n) == {m: ocmax(mask, n, m) for m in mask.support(n)}
+
+    def test_integer_pairs_equal_the_row(self):
+        for mask in all_masks(3):
+            for n in range(1, 16):
+                terms = ocmax_terms(mask, n, h_dot(n, mask))
+                got = {t + mask.offset - 1: Fraction(a, b) for t, (a, b) in enumerate(terms, 1)}
+                assert got == ocmax_row(mask, n)
+
+    def test_integer_pairs_are_unreduced(self):
+        # A_1 = ((n-1)!)**k * G_{n-1} and B_1 = ((n-1)!)**k: no gcd was taken.
+        mask = Mask.from_string("011")
+        a, b = next(ocmax_terms(mask, 5, h_dot(5, mask)))
+        assert b == factorial(4) ** 2
+        assert a == b * value(mask, 5, mask.offset)
 
     def test_cross_dominance_through_complement(self):
         for mask in all_masks(2):

@@ -261,8 +261,8 @@ class TestVerifyGoldens:
         assert out == (GOLDEN / golden).read_text()
 
 
-def polynomials_status(results):
-    return next(status for name, status, _ in results if name == "polynomials")
+def check_status(results, name):
+    return next(status for check, status, _ in results if check == name)
 
 
 class TestPolynomialsCheck:
@@ -278,11 +278,51 @@ class TestPolynomialsCheck:
             return tri
 
         monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
-        assert polynomials_status(cli.run_verification(Mask.from_string(text), 6)) == "FAIL"
+        results = cli.run_verification(Mask.from_string(text), 6)
+        assert check_status(results, "polynomials") == "FAIL"
 
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
     def test_clean_triangle_passes(self, mask):
-        assert polynomials_status(cli.run_verification(mask, 10)) == "PASS"
+        assert check_status(cli.run_verification(mask, 10), "polynomials") == "PASS"
+
+
+class TestDominanceCheck:
+    """upper-bound-dominance compares the integer pairs with the triangle under test.
+
+    ocmax is tight at the bottom of the support and the complement's bound
+    at the top, so one more there must fail the check.
+    """
+
+    @pytest.mark.parametrize("row", [3, 6])
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_plus_one_at_either_end_fails(self, monkeypatch, mask, row):
+        for m in (mask.offset, row - 1 + mask.offset):
+            def factory(mask, max_n, m=m):
+                tri = triangle(mask, max_n)
+                tri.rows[row][m] = tri.rows[row].get(m, 0) + 1
+                return tri
+
+            monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+            results = cli.run_verification(mask, 6)
+            assert check_status(results, "upper-bound-dominance") == "FAIL", m
+
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_clean_triangle_passes_every_check(self, mask):
+        statuses = {name: status for name, status, _ in cli.run_verification(mask, 10)}
+        assert set(statuses.values()) == {"PASS"}, statuses
+
+
+class TestHarmonicDotCheck:
+    def test_one_running_sum_off_fails(self, monkeypatch):
+        real = bounds.h_dots
+
+        def h_dots(mask, max_n):
+            for n, h in enumerate(real(mask, max_n), 1):
+                yield h + Fraction(1, 10**6) if n == 4 else h
+
+        monkeypatch.setattr(bounds, "h_dots", h_dots)
+        results = cli.run_verification(Mask.from_string("011"), 6)
+        assert check_status(results, "harmonic-dot") == "FAIL"
 
 
 class TestPolyCommand:
@@ -419,6 +459,24 @@ class TestIntStrGuard:
                            "--out", "/no-such-directory/t.csv")
         assert code == 2
         assert "--n" in err
+        assert "digits" in err
+        assert len(err.encode()) < 300
+
+    def test_m1_of_5000_digits_is_usage_error(self, capsys, default_int_str_guard):
+        code, _, err = run(capsys, "bounds", "--mask", "01", "--n", "3", "--m1", "1," + "9" * 5000)
+        assert code == 2
+        assert "--m1" in err
+        assert "digits" in err
+        assert len(err.encode()) < 300
+
+    def test_malformed_ints_echo_a_clip(self, capsys):
+        code, _, err = run(capsys, "bounds", "--mask", "01", "--n", "3", "--m1", "1,x" + "y" * 500)
+        assert code == 2
+        assert "not a comma-separated int list: '1,xyyy" in err
+        assert len(err.encode()) < 300
+        code, _, err = run(capsys, "stirling", "--n", "12x")
+        assert code == 2
+        assert "not an integer: '12x'" in err
 
 
 @pytest.fixture

@@ -297,6 +297,14 @@ class TestPolyZeros:
         with pytest.raises(ValueError):
             poly_zeros(Mask.stirling(), 3, "sideways")
 
+    @pytest.mark.parametrize("kind", ["rising", "falling"])
+    def test_row_n_zeros_are_a_prefix_of_the_longest_row(self, kind):
+        # verify slices one list of roots for every row it checks.
+        for mask in all_masks(3):
+            longest = poly_zeros(mask, 15, kind)
+            for n in range(1, 16):
+                assert longest[:n] == poly_zeros(mask, n, kind)
+
 
 class TestStirlingRef:
     def test_hand_unrolled_rows(self):

@@ -17,8 +17,13 @@ at position t is A_t / B_t with
     A_t = ((n-1)!)**k * a**(t-1) * G_{n-t}
     B_t = b**(t-1) * (t-1)! * ((n-t)!)**k
 
-``ocmax_terms`` yields these unreduced pairs, so that a dominance check
-can test A_t >= v * B_t without taking a gcd.
+Only a**(t-1) and b**(t-1) grow large; the cofactors P_t = ((n-1)!)**k *
+G_{n-t} and Q_t = (t-1)! * ((n-t)!)**k stay a few thousand bits long at
+n = 300.  ``ocmax_cofactors`` yields the pairs (P_t, Q_t) and
+``ocmax_terms`` multiplies in the running powers, yielding the unreduced
+pairs (A_t, B_t), so that a dominance check can test A_t >= v * B_t
+without taking a gcd.  ``ocmax_row`` is their ``Fraction`` view; the CLI
+renders the row from the cofactors and lam without forming a Fraction.
 
 Everything rational stays a ``fractions.Fraction``; e**x, pi**2/6 and
 e**-M1 only enter at the final comparison, evaluated to 50 significant
@@ -48,6 +53,7 @@ __all__ = [
     "h_vector",
     "mirrored_tail",
     "ocmax",
+    "ocmax_cofactors",
     "ocmax_row",
     "ocmax_terms",
     "ratio_report",
@@ -140,27 +146,6 @@ def ocmax(mask: Mask, n: int, m: int) -> Fraction:
     return Fraction(factorial(n - 1) ** mask.k, factorial(t - 1)) * lam ** (t - 1) * tail
 
 
-def ocmax_row(mask: Mask, n: int) -> dict[int, Fraction]:
-    """All of row n's upper bounds in one pass; equal to ocmax per entry."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    comp = mask.complement()
-    lam = h_dot(n, mask)
-    base = Fraction(factorial(n - 1) ** mask.k)
-    suffix = [Fraction(1)] * n  # suffix[s] = prod_{j=2..s+1} f_weight(j, comp)
-    for s in range(1, n):
-        suffix[s] = suffix[s - 1] * f_weight(s + 1, comp)
-    out: dict[int, Fraction] = {}
-    lam_pow = Fraction(1)
-    fact = 1
-    for t in range(1, n + 1):
-        if t > 1:
-            lam_pow *= lam
-            fact *= t - 1
-        out[t + mask.offset - 1] = base * lam_pow * suffix[n - t] / fact
-    return out
-
-
 def _comp_products(mask: Mask, n: int) -> list[int]:
     """G_s = prod_{j=2..s+1} g_weight(j, ~mask) for s = 0..n-1.
 
@@ -173,27 +158,45 @@ def _comp_products(mask: Mask, n: int) -> list[int]:
     return su
 
 
-def ocmax_terms(mask: Mask, n: int, lam: Fraction):
-    """Yield row n's upper bounds as unreduced pairs (A_t, B_t), t = 1..n.
+def ocmax_cofactors(mask: Mask, n: int):
+    """Yield row n's power-free parts (P_t, Q_t), t = 1..n.
 
-    A_t / B_t equals ocmax at support position t when lam == h_dot(n,
-    mask); see the module docstring.  No gcd is taken, so a caller that
-    only compares the bound with an integer v tests A_t >= v * B_t.
+    P_t = ((n-1)!)**k * G_{n-t} and Q_t = (t-1)! * ((n-t)!)**k, so that
+    ocmax at support position t is lam**(t-1) * P_t / Q_t with lam =
+    h_dot(n, mask); see the module docstring.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     k = mask.k
-    a, b = lam.numerator, lam.denominator
     su = _comp_products(mask, n)
     fk = [1] * n  # fk[s] = (s!)**k
     for s in range(1, n):
         fk[s] = fk[s - 1] * s**k
-    a_pow = b_pow = fact = 1  # a**(t-1), b**(t-1), (t-1)!
+    fact = 1  # (t-1)!
     for t in range(1, n + 1):
-        yield a_pow * (fk[n - 1] * su[n - t]), b_pow * (fact * fk[n - t])
+        yield fk[n - 1] * su[n - t], fact * fk[n - t]
+        fact *= t
+
+
+def ocmax_terms(mask: Mask, n: int, lam: Fraction):
+    """Yield row n's upper bounds as unreduced pairs (A_t, B_t), t = 1..n.
+
+    A_t / B_t equals ocmax at support position t when lam == h_dot(n,
+    mask).  No gcd is taken, so a caller that only compares the bound
+    with an integer v tests A_t >= v * B_t.
+    """
+    a, b = lam.numerator, lam.denominator
+    a_pow = b_pow = 1  # a**(t-1), b**(t-1)
+    for p, q in ocmax_cofactors(mask, n):
+        yield a_pow * p, b_pow * q
         a_pow *= a
         b_pow *= b
-        fact *= t
+
+
+def ocmax_row(mask: Mask, n: int) -> dict[int, Fraction]:
+    """Row n's upper bounds as ``Fraction``s of ocmax_terms; equal to ocmax per entry."""
+    terms = ocmax_terms(mask, n, h_dot(n, mask))
+    return {m: Fraction(a, b) for m, (a, b) in zip(mask.support(n), terms)}
 
 
 def upper_ratio(mask: Mask, n: int) -> Fraction:
@@ -293,11 +296,13 @@ class TailCheck:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One row's bounds: per-entry caps, growth exponents, ratio and tails."""
+    """One row's bounds: growth exponents, ratio and tails.
+
+    The per-entry caps are ocmax_row(mask, n), or ocmax_terms in integers.
+    """
 
     mask: Mask
     n: int
-    upper_bounds: dict[int, Fraction]
     lam: Fraction
     lam_prime: Fraction
     ratio: Fraction
@@ -331,6 +336,6 @@ def ratio_report(mask: Mask, n: int, m1_values=()) -> BoundReport:
             thr, prob = mirrored_tail(mask, n, m1)
         tails.append(TailCheck(m1, thr, prob, exp(-m1), exp_bound_holds(prob, -m1)))
     return BoundReport(
-        mask, n, ocmax_row(mask, n), lam, lam_prime, ratio, ratio_prime,
+        mask, n, lam, lam_prime, ratio, ratio_prime,
         exp_bound_holds(ratio, lam), exp_bound_holds(ratio_prime, lam_prime),
         tuple(tails))

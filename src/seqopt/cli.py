@@ -6,10 +6,14 @@ Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 ``stirling`` diffs its rows against the reference one pair at a time; ``--out``
 is written through a temporary file in the target's directory that replaces
 the target only once the command has finished.  Exact integers and
-rationals that a command computes, tens of thousands of digits in
-``bounds``, are rendered through ``_exact_str``: a divide-and-conquer
-conversion to ``decimal.Decimal``, whose string takes linear time where
-``str(int)`` before Python 3.12 takes time quadratic in the digit count.
+rationals that a command computes are rendered through ``_exact_str``: a
+divide-and-conquer conversion to ``decimal.Decimal``, whose string takes
+linear time where ``str(int)`` before Python 3.12 takes time quadratic in
+the digit count.  ``bounds``' ocmax row, tens of thousands of digits per
+entry, is rendered from its factored form by ``_power_fraction_strs``:
+the powers of lam's numerator and denominator are kept as running
+``Decimal`` products and reduced by gcds of small integers, so no huge
+``Fraction`` is reduced and no huge int converted.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, groupby
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import itemgetter
 
 import mpmath
@@ -80,6 +84,47 @@ def _exact_str(x: int | Fraction) -> str:
     with localcontext(numbers._EXACT):
         digits = str(_int_to_decimal(abs(x)))
     return "-" + digits if x < 0 else digits
+
+
+def _exact_quotient(x: Decimal, d: int) -> Decimal:
+    """x / d for an int d that must divide the integral x; call under numbers._EXACT."""
+    if d == 1:
+        return x
+    q, r = divmod(x, Decimal(d))
+    if r:
+        raise RuntimeError(f"internal inconsistency: {d} does not divide a running power")
+    return q
+
+
+def _power_fraction_strs(lam: Fraction, cofactors):
+    """Yield str(Fraction(a**s * p, b**s * q)) for the pair (p, q) at index s of cofactors.
+
+    lam = a/b >= 0 in lowest terms; p >= 0 and q >= 1 are ints.  Only a**s
+    and b**s are large: they are running ``Decimal`` products, one
+    multiply a step, and the gcd comes from small ints.  With g1 = gcd(p,
+    q), p1 = p/g1, q1 = q/g1, ga = gcd(a**s, q1) and gb = gcd(b**s, p1),
+    the gcd of a**s * p and b**s * q is g1 * ga * gb: compare p-adic
+    valuations, using a coprime to b and p1 coprime to q1.  So the reduced
+    numerator is (a**s / ga) * (p1 / gb) and the denominator (b**s / gb) *
+    (q1 / ga).  ga and gb are taken through pow(a, s, q1) and pow(b, s, p1).
+    """
+    a, b = lam.numerator, lam.denominator
+    a_pow = b_pow = Decimal(1)
+    for s, (p, q) in enumerate(cofactors):
+        # The context is entered per step, never held across a yield.
+        with localcontext(numbers._EXACT):
+            if not (p and a_pow):
+                text = "0"
+            else:
+                g1 = gcd(p, q)
+                p, q = p // g1, q // g1
+                ga, gb = gcd(pow(a, s, q), q), gcd(pow(b, s, p), p)
+                num = _exact_quotient(a_pow, ga) * Decimal(p // gb)
+                den = _exact_quotient(b_pow, gb) * Decimal(q // ga)
+                text = str(num) if den == 1 else f"{num}/{den}"
+            a_pow *= a
+            b_pow *= b
+        yield text
 
 
 def triangle_entries(tri: numbers.Triangle) -> list[tuple[int, int, int]]:
@@ -211,6 +256,15 @@ def _write(out, text: str) -> None:
 
 # ------------------------------------------------------------- verification
 
+def _covers(a: int, b: int, v: int) -> bool:
+    """a / b >= v for ints a, v >= 0 and b >= 1, tested as a >= v * b.
+
+    As v * b < 2**(bits of v + bits of b), an a with more bits covers v
+    without the product.
+    """
+    return a.bit_length() > v.bit_length() + b.bit_length() or a >= v * b
+
+
 def _divides_out(coeffs, roots) -> bool:
     """True when sum(coeffs[i] * x**i) divides by (q*x - p) once per root p/q.
 
@@ -309,15 +363,13 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
     # ocmax(mask) at support position t bounds the entry at position t; the
     # complement's bound at its position t bounds the entry at n + 1 - t, so
     # that pass walks the support from the top.  Each bound is an integer
-    # pair A/B, and it covers v when A >= v * B.  As v * B < 2**(bits of v +
-    # bits of B), an A with more bits covers v without the product.
+    # pair A/B, compared with the entry without reducing it.
     dom_ok = True
     for n, lam, lam_c in zip(range(1, max_n + 1), lams, bounds.h_dots(comp, max_n)):
         support = mask.support(n)
         for ms, vec, h in ((support, mask, lam), (reversed(support), comp, lam_c)):
             for m, (a, b) in zip(ms, bounds.ocmax_terms(vec, n, h)):
-                v = tri.value(n, m)
-                dom_ok &= a.bit_length() > v.bit_length() + b.bit_length() or a >= v * b
+                dom_ok &= _covers(a, b, tri.value(n, m))
     check("upper-bound-dominance", dom_ok,
           "ocmax covers every entry, complement cross-bound included")
 
@@ -410,12 +462,15 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
     line(f"mask {mask} k {mask.k} n {n}")
     line(f"lambda {_exact_str(report.lam)}")
     line(f"lambda_prime {_exact_str(report.lam_prime)}")
-    for m in mask.support(n):
-        ub = report.upper_bounds[m]
+    # Each bound is checked as its integer pair and printed from its factored
+    # form; neither builds the reduced Fraction.
+    terms = bounds.ocmax_terms(mask, n, report.lam)
+    texts = _power_fraction_strs(report.lam, bounds.ocmax_cofactors(mask, n))
+    for m, (a, b), text in zip(mask.support(n), terms, texts):
         v = numbers.value(mask, n, m)
-        good = ub >= v
+        good = _covers(a, b, v)
         ok &= good
-        line(f"m {m} ocmax {_exact_str(ub)} value {_exact_str(v)} "
+        line(f"m {m} ocmax {text} value {_exact_str(v)} "
              f"dominance {'PASS' if good else 'FAIL'}")
     for t in report.tails:
         ok &= t.ok

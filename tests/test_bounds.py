@@ -14,6 +14,7 @@ from seqopt.bounds import (
     h_vector,
     mirrored_tail,
     ocmax,
+    ocmax_cofactors,
     ocmax_row,
     ocmax_terms,
     ratio_report,
@@ -101,11 +102,23 @@ class TestOcmax:
                 assert ocmax_row(mask, n) == {m: ocmax(mask, n, m) for m in mask.support(n)}
 
     def test_integer_pairs_equal_the_row(self):
+        # ocmax_row is the Fraction view of these pairs, so the reference
+        # is the closed form, entry by entry.
         for mask in all_masks(3):
             for n in range(1, 16):
                 terms = ocmax_terms(mask, n, h_dot(n, mask))
                 got = {t + mask.offset - 1: Fraction(a, b) for t, (a, b) in enumerate(terms, 1)}
-                assert got == ocmax_row(mask, n)
+                assert got == {m: ocmax(mask, n, m) for m in mask.support(n)}
+
+    def test_cofactors_are_the_power_free_parts(self):
+        mask = Mask.from_string("011")
+        n, k = 6, mask.k
+        lam = h_dot(n, mask)
+        for t, (p, q) in enumerate(ocmax_cofactors(mask, n), 1):
+            assert q == factorial(t - 1) * factorial(n - t) ** k
+            assert Fraction(p, q) * lam ** (t - 1) == ocmax(mask, n, t + mask.offset - 1)
+        with pytest.raises(ValueError):
+            next(ocmax_cofactors(mask, 0))
 
     def test_integer_pairs_are_unreduced(self):
         # A_1 = ((n-1)!)**k * G_{n-1} and B_1 = ((n-1)!)**k: no gcd was taken.
@@ -208,9 +221,9 @@ class TestRatioReport:
             assert rep.ratio_prime >= 1
 
     def test_upper_bounds_map_matches_ocmax(self):
+        # The report carries no per-entry caps; they are ocmax_row's.
         mask = Mask.from_string("011")
-        rep = ratio_report(mask, 5)
-        assert rep.upper_bounds == {m: ocmax(mask, 5, m) for m in mask.support(5)}
+        assert ocmax_row(mask, 5) == {m: ocmax(mask, 5, m) for m in mask.support(5)}
 
     def test_lambdas_are_h_dots(self):
         mask = Mask.from_string("110")

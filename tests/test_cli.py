@@ -11,11 +11,11 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import product
-from math import log10
+from math import floor, log10
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import seqopt.cli as cli
 from seqopt import bounds, numbers
@@ -387,6 +387,90 @@ class TestBoundsCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("argv, golden", [
+        (("--mask", "01", "--n", "12", "--m1", "1,2,3"), "bounds_01_n12_m1.txt"),
+        (("--mask", "100", "--n", "10"), "bounds_100_n10.txt"),
+        (("--mask", "111", "--n", "8"), "bounds_111_n8.txt"),
+        (("--mask", "0110", "--n", "9"), "bounds_0110_n9.txt"),
+    ], ids=["01-n12-m1", "100-n10", "111-n8-zero-bounds", "0110-n9"])
+    def test_golden(self, capsys, argv, golden):
+        code, out, _ = run(capsys, "bounds", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize("end", ["bottom", "top"])
+    def test_entry_above_its_bound_fails(self, capsys, monkeypatch, end):
+        # ocmax is tight at the bottom of the support: one more than the
+        # bound's floor there, or at the top, must print FAIL and exit 1.
+        mask, n = Mask.from_string("011"), 7
+        support = mask.support(n)
+        target = support[0] if end == "bottom" else support[-1]
+        row = bounds.ocmax_row(mask, n)
+        real = numbers.value
+
+        def value(vec, nn, m):
+            if (vec, nn, m) == (mask, n, target):
+                return floor(row[m]) + 1
+            return real(vec, nn, m)
+
+        monkeypatch.setattr(numbers, "value", value)
+        code, out, _ = run(capsys, "bounds", "--mask", str(mask), "--n", str(n))
+        assert code == 1
+        verdicts = {line.split()[1]: line.rsplit(" ", 1)[1]
+                    for line in out.splitlines() if line.startswith("m ")}
+        assert verdicts == {str(m): "FAIL" if m == target else "PASS" for m in support}
+
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_rendered_row_equals_the_fraction_row(self, mask):
+        for n in range(1, 21):
+            row = bounds.ocmax_row(mask, n)
+            texts = cli._power_fraction_strs(bounds.h_dot(n, mask),
+                                             bounds.ocmax_cofactors(mask, n))
+            assert list(texts) == [cli._exact_str(row[m]) for m in mask.support(n)], n
+
+
+@st.composite
+def power_fractions(draw):
+    """(lam, [(p, q), ...]) with lam = a/b and cofactors that share primes with a and b.
+
+    q carries powers of a and p powers of b, so that ga and gb exceed 1;
+    a = 0, p = 0 and q = 1 each come up.
+    """
+    a = draw(st.one_of(st.just(0), st.integers(1, 10**6)))
+    b = draw(st.integers(1, 10**6))
+    lam = Fraction(a, b)
+    a, b = lam.numerator, lam.denominator
+    small = st.one_of(st.just(0), st.just(1), st.integers(1, 10**30))
+    pairs = draw(st.lists(st.tuples(small, st.integers(0, 3), small.map(lambda x: x + 1),
+                                    st.integers(0, 3)), min_size=1, max_size=12))
+    return lam, [(p * b**i, q * a**j if a else q) for p, i, q, j in pairs]
+
+
+class TestPowerFractionStrs:
+    """cli._power_fraction_strs is str(Fraction(a**s * p, b**s * q)), pair by pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(power_fractions())
+    @example((Fraction(6, 5), [(1, 1), (7, 12), (25, 8 * 9), (0, 36), (5, 1)]))
+    @example((Fraction(0), [(3, 4), (3, 4), (0, 1)]))
+    @example((Fraction(4, 9), [(9 * 7, 2 * 11), (81, 16 * 3), (0, 5)]))
+    def test_equals_the_reduced_fraction(self, case):
+        lam, pairs = case
+        a, b = lam.numerator, lam.denominator
+        want = [str(Fraction(a**s * p, b**s * q)) for s, (p, q) in enumerate(pairs)]
+        assert list(cli._power_fraction_strs(lam, pairs)) == want
+
+    def test_forced_gcds_of_the_powers(self):
+        # At s = 2 the pair reduces by g1 = 3, ga = 4 and gb = 25.
+        lam, pairs = Fraction(2, 5), [(1, 1), (1, 1), (3 * 25 * 7, 3 * 4 * 11)]
+        assert list(cli._power_fraction_strs(lam, pairs)) == ["1", "2/5", "7/11"]
+
+    def test_a_divisor_that_does_not_divide_raises(self):
+        with decimal.localcontext(numbers._EXACT):
+            assert cli._exact_quotient(decimal.Decimal(10**40), 2**40) == 5**40
+            with pytest.raises(RuntimeError, match="internal inconsistency"):
+                cli._exact_quotient(decimal.Decimal(10), 3)
+
 
 class TestStirlingCommand:
     def test_ok_line(self, capsys):
@@ -586,10 +670,11 @@ class TestExactStr:
     def test_bounds_past_several_splits_equal_a_builtin_str_reference(self, capsys):
         mask, n = Mask.stirling(), 150
         rep = bounds.ratio_report(mask, n, (1, 2, 3))
-        assert max(ub.numerator.bit_length() for ub in rep.upper_bounds.values()) > 2**14
+        row = bounds.ocmax_row(mask, n)
+        assert max(ub.numerator.bit_length() for ub in row.values()) > 2**14
         want = [f"mask {mask} k {mask.k} n {n}", f"lambda {rep.lam}",
                 f"lambda_prime {rep.lam_prime}"]
-        want += [f"m {m} ocmax {rep.upper_bounds[m]} value {numbers.value(mask, n, m)} "
+        want += [f"m {m} ocmax {row[m]} value {numbers.value(mask, n, m)} "
                  "dominance PASS" for m in mask.support(n)]
         want += [f"tail m1 {t.m1} M {t.threshold} probability {t.probability} "
                  f"bound {t.bound!r} PASS" for t in rep.tails]

@@ -265,27 +265,6 @@ def _covers(a: int, b: int, v: int) -> bool:
     return a.bit_length() > v.bit_length() + b.bit_length() or a >= v * b
 
 
-def _divides_out(coeffs, roots) -> bool:
-    """True when sum(coeffs[i] * x**i) divides by (q*x - p) once per root p/q.
-
-    All-integer synthetic division from the top: every quotient coefficient
-    must divide exactly and every remainder must be 0.
-    """
-    for z in roots:
-        p, q = z.numerator, z.denominator
-        quotient = []
-        carry = 0
-        for a in reversed(coeffs[1:]):
-            carry, rem = divmod(a + p * carry, q)
-            if rem:
-                return False
-            quotient.append(carry)
-        if coeffs[0] + p * carry:
-            return False
-        coeffs = quotient[::-1]
-    return True
-
-
 def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False,
                      budget: int = oracle.DEFAULT_BUDGET,
                      subset_limit: int = numbers.DEFAULT_SUBSET_LIMIT):
@@ -317,12 +296,20 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 
     n_cap = min(max_n, subset_limit)
     check("explicit-sum",
-          all(numbers.explicit_value(mask, n, m, subset_limit) == tri.value(n, m)
-              for n in range(1, n_cap + 1) for m in mask.support(n)),
+          all(numbers.explicit_row(mask, n, subset_limit) == tri.row(n)
+              for n in range(1, n_cap + 1)),
           f"subset expansion matches the recurrence for n <= {n_cap}")
 
-    # Row n's roots are the first n of row max_n's: one list per kind.
+    # Row n's roots are the first n of row max_n's: one list per kind.  Row
+    # n must be r * (x - p/q) times row n - 1, which was checked before it
+    # (row 0 is the constant 1): q * row n == r * (q*x - p) * row n - 1,
+    # with r = g_weight(n, mask), and r = 1 for row 1's factor x.  A slot of
+    # None marks a factor with g_weight(n, mask) == 0: it is the constant
+    # r = sign * g_weight(n, ~mask) and has no root.  By induction, row n is
+    # then the product of its r's times prod(x - z) over its first n roots:
+    # degree, leading coefficient and roots fix the polynomial.
     all_zeros = {kind: numbers.poly_zeros(mask, max_n, kind) for kind in ("rising", "falling")}
+    prev = {"rising": [1], "falling": [1]}
     poly_ok = True
     for n in range(1, max_n + 1):
         # Row n as the coefficients of x**0..x**n, and the falling product's
@@ -330,17 +317,15 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
         rising = [tri.value(n, u + mask.offset - 1) for u in range(n + 1)]
         falling = [-c if (n + u) % 2 else c for u, c in enumerate(rising)]
         for kind, sign, coeffs in (("rising", 1, rising), ("falling", -1, falling)):
-            zeros = all_zeros[kind][:n]
-            roots = [z for z in zeros if z is not None]
-            # A slot of None marks a factor with g_weight(j, mask) == 0: it
-            # is the constant sign * g_weight(j, ~mask) and has no root.
-            lead = prod(numbers.g_weight(j, mask) if z is not None
-                        else sign * numbers.g_weight(j, comp)
-                        for j, z in enumerate(zeros[1:], 2))
-            # Degree, leading coefficient and roots fix the polynomial.
-            deg = len(roots)
-            poly_ok &= (coeffs[deg] == lead and not any(coeffs[deg + 1:])
-                        and _divides_out(coeffs, roots))
+            z = all_zeros[kind][n - 1]
+            # s * row n == r * (hi*x + lo) * row n - 1; a None slot's factor is 1.
+            s, hi, lo = (1, 0, 1) if z is None else (z.denominator, z.denominator, -z.numerator)
+            r = (1 if n == 1 else numbers.g_weight(n, mask) if z is not None
+                 else sign * numbers.g_weight(n, comp))
+            low = prev[kind]
+            poly_ok &= all(s * c == r * (hi * a + lo * b)
+                           for c, a, b in zip(coeffs, [0, *low], [*low, 0]))
+            prev[kind] = coeffs
     check("polynomials", poly_ok, "coefficients, sign rule, exact zeros")
 
     js = range(2, max_n + 2)

@@ -19,10 +19,11 @@ product ``x * prod_{j=2..n} (g_weight(j, mask)*x + g_weight(j, ~mask))`` by
 its next linear factor, so ``rising_poly`` and ``falling_poly`` read row n
 off the same row step.  Rows are folded on demand and never stored for the
 life of the process: ``triangle`` keeps the rows it returns, and ``value``
-keeps only the last few rows it was asked for.  ``explicit_value``
-recomputes single entries from an elementary-symmetric sum over the
-rational column weights and exists, together with the exhaustive counter
-in ``seqopt.oracle``, as an independent route to the same integers.
+keeps only the last few rows it was asked for.  ``explicit_row``
+recomputes a row from the elementary-symmetric sum over the column
+weights ``f_weight``, each scaled to an integer, in one pass over the
+subsets of {2..n}; it exists, together with the exhaustive counter in
+``seqopt.oracle``, as an independent route to the same integers.
 
 All arithmetic is exact: counts are Python ints, weights are
 ``fractions.Fraction``; nothing here ever rounds.  ``decimal_rows`` runs
@@ -38,8 +39,8 @@ from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb, factorial
+from itertools import product
+from math import comb, prod
 
 DEFAULT_SUBSET_LIMIT = 12
 
@@ -50,6 +51,7 @@ __all__ = [
     "SubsetLimitError",
     "Triangle",
     "decimal_rows",
+    "explicit_row",
     "explicit_value",
     "f_weight",
     "falling_poly",
@@ -64,7 +66,7 @@ __all__ = [
 
 
 class SubsetLimitError(ValueError):
-    """explicit_value was asked to enumerate more subsets than its cap allows."""
+    """explicit_row was asked to enumerate more subsets than its cap allows."""
 
 
 @dataclass(frozen=True)
@@ -265,40 +267,43 @@ def value(mask: Mask, n: int, m: int) -> int:
     return _row(mask, n)[u]
 
 
-def explicit_value(mask: Mask, n: int, m: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> int:
-    """Entry at (n, m) by direct subset expansion, independent of the recurrence.
+def explicit_row(mask: Mask, n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> dict[int, int]:
+    """Nonzero entries ``{m: value}`` of row n by direct subset expansion.
 
-    Sums, over all (t-1)-element subsets J of {2..n} with t = m - offset + 1,
-    the product of f_weight(j, mask) for j in J times f_weight(j, ~mask) for
-    j outside J, then scales by (n-1)!**k.  The total has 2**(n-1) terms, so
-    n is capped (default 12); this is an oracle-scale cross-check, not a fast
-    path.  The rational total provably collapses to an integer; that is
-    asserted, never assumed.
+    Independent of the recurrence: entry m sums, over all (t-1)-element
+    subsets J of {2..n} with t = m - offset + 1, the product of
+    f_weight(j, mask) for j in J times f_weight(j, ~mask) for j outside J,
+    scaled by (n-1)!**k.  As that scale is the product of (j-1)**k over
+    j = 2..n, each weight is scaled by its own (j-1)**k once; that each
+    scaled weight is an integer is asserted, never assumed.  One pass over
+    the 2**(n-1) subsets then adds each subset's int product into the
+    entry of its size, so n is capped (default 12); this is an
+    oracle-scale cross-check, not a fast path.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t = m - mask.offset + 1
-    if t < 1 or t > n:
-        return 0
     if n > subset_limit:
         raise SubsetLimitError(
             f"subset expansion is oracle-scale only: n={n} exceeds the limit of {subset_limit}")
     comp = mask.complement()
-    fc = {j: f_weight(j, mask) for j in range(2, n + 1)}
-    fp = {j: f_weight(j, comp) for j in range(2, n + 1)}
-    total = Fraction(0)
-    for chosen in combinations(range(2, n + 1), t - 1):
-        chosen_set = set(chosen)
-        prod = Fraction(1)
-        for j in range(2, n + 1):
-            prod *= fc[j] if j in chosen_set else fp[j]
-        total += prod
-    result = factorial(n - 1) ** mask.k * total
-    if result.denominator != 1:
-        raise RuntimeError(
-            f"internal inconsistency: subset sum for mask {mask}, n={n}, m={m} "
-            f"is the non-integer {result}")
-    return result.numerator
+    pairs = []  # (weight of j outside J, weight of j in J) for j = 2..n
+    for j in range(2, n + 1):
+        pair = [(j - 1) ** mask.k * f_weight(j, vec) for vec in (comp, mask)]
+        if any(w.denominator != 1 for w in pair):
+            raise RuntimeError(
+                f"internal inconsistency: a scaled weight of mask {mask} at j={j} "
+                f"is not an integer: {pair}")
+        pairs.append([w.numerator for w in pair])
+    sums = [0] * n
+    # Both products run through the subsets in the same order.
+    for factors, picks in zip(product(*pairs), product((0, 1), repeat=n - 1)):
+        sums[sum(picks)] += prod(factors)
+    return {t + mask.offset: v for t, v in enumerate(sums) if v}
+
+
+def explicit_value(mask: Mask, n: int, m: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> int:
+    """Entry at (n, m) of ``explicit_row``; zero outside the row's support."""
+    return explicit_row(mask, n, subset_limit).get(m, 0)
 
 
 @dataclass(frozen=True)

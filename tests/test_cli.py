@@ -254,7 +254,11 @@ class TestVerifyGoldens:
         (("--mask", "011", "--n", "12", "--oracle"), "verify_011_n12_oracle.txt"),
         (("--mask", "11", "--n", "8"), "verify_11_n8.txt"),
         (("--mask", "000", "--n", "6"), "verify_000_n6.txt"),
-    ], ids=["011-n12-oracle", "11-n8", "000-n6"])
+        # Rows of 111 hold a single nonzero entry, (n!)^2 at m = n.
+        (("--mask", "111", "--n", "14"), "verify_111_n14.txt"),
+        # Past the subset cap, so explicit-sum stops at n = 12.
+        (("--mask", "1001", "--n", "13", "--oracle"), "verify_1001_n13_oracle.txt"),
+    ], ids=["011-n12-oracle", "11-n8", "000-n6", "111-n14", "1001-n13-oracle"])
     def test_golden(self, capsys, argv, golden):
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
@@ -284,6 +288,54 @@ class TestPolynomialsCheck:
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
     def test_clean_triangle_passes(self, mask):
         assert check_status(cli.run_verification(mask, 10), "polynomials") == "PASS"
+
+    @pytest.mark.parametrize("slot", [0, 3, 5], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("kind", ["rising", "falling"])
+    @pytest.mark.parametrize("text", ["01", "011", "11", "000", "1001"])
+    def test_one_perturbed_root_fails(self, monkeypatch, text, kind, slot):
+        real = numbers.poly_zeros
+
+        def poly_zeros(mask, n, which="rising"):
+            zeros = real(mask, n, which)
+            if which == kind:
+                z = zeros[slot]
+                zeros[slot] = Fraction(1, 7) if z is None else z + Fraction(1, 7)
+            return zeros
+
+        monkeypatch.setattr(numbers, "poly_zeros", poly_zeros)
+        results = cli.run_verification(Mask.from_string(text), 6)
+        assert check_status(results, "polynomials") == "FAIL"
+
+
+class TestExplicitSumCheck:
+    """explicit-sum compares the subset expansion with the triangle under test."""
+
+    @pytest.mark.parametrize("row", [3, 12])
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_plus_one_fails(self, monkeypatch, mask, row):
+        def factory(mask, max_n):
+            tri = triangle(mask, max_n)
+            m = next(iter(tri.rows[row]))
+            tri.rows[row][m] += 1
+            return tri
+
+        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+        results = cli.run_verification(mask, 12)
+        assert check_status(results, "explicit-sum") == "FAIL"
+
+    def test_non_integral_weight_raises(self, monkeypatch):
+        real = numbers.f_weight
+        # (j-1)**k times this weight is 1/7 off an integer.
+        monkeypatch.setattr(numbers, "f_weight",
+                            lambda j, vec: real(j, vec) + Fraction(1, 7 * (j - 1) ** vec.k))
+        with pytest.raises(RuntimeError, match="not an integer"):
+            numbers.explicit_row(Mask.from_string("011"), 4)
+
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_matches_the_recurrence(self, mask):
+        tri = triangle(mask, 10)
+        for n in range(1, 11):
+            assert numbers.explicit_row(mask, n) == tri.row(n)
 
 
 class TestDominanceCheck:

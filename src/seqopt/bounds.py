@@ -14,16 +14,24 @@ In integers, with lam = a/b and G_s = prod_{j=2..s+1} g_weight(j, ~mask)
 (so that the f_weight product above is G_{n-t} / ((n-t)!)**k), the bound
 at position t is A_t / B_t with
 
-    A_t = ((n-1)!)**k * a**(t-1) * G_{n-t}
-    B_t = b**(t-1) * (t-1)! * ((n-t)!)**k
+    A_t = a**(t-1) * P_t,  P_t = ((n-1)!)**k * G_{n-t}
+    B_t = b**(t-1) * Q_t,  Q_t = (t-1)! * ((n-t)!)**k
 
-Only a**(t-1) and b**(t-1) grow large; the cofactors P_t = ((n-1)!)**k *
-G_{n-t} and Q_t = (t-1)! * ((n-t)!)**k stay a few thousand bits long at
-n = 300.  ``ocmax_cofactors`` yields the pairs (P_t, Q_t) and
-``ocmax_terms`` multiplies in the running powers, yielding the unreduced
-pairs (A_t, B_t), so that a dominance check can test A_t >= v * B_t
-without taking a gcd.  ``ocmax_row`` is their ``Fraction`` view; the CLI
-renders the row from the cofactors and lam without forming a Fraction.
+The cofactors P_t and Q_t stay a few thousand bits long at n = 300,
+while a**(t-1) and b**(t-1) reach a hundred thousand bits or more: lam's
+numerator and denominator are themselves hundreds of bits long.
+``ocmax_cofactors`` yields (P_t, Q_t) and ``ocmax_terms`` adds the
+running powers, yielding the four factors and never their products.  A
+dominance test of A_t >= v * B_t can then decide most entries from the
+factors' bit lengths alone (``cli._covers``); ``ocmax_row`` is the
+``Fraction`` view, and the CLI renders the row from the cofactors and lam
+without forming a Fraction.
+
+``upper_ratio`` puts the row total over one integer denominator, where
+it is the polynomial sum of cs[u] * a**u * b**(n-1-u) over u = 0..n-1.
+That sum is evaluated by halving the index range, so every big multiply
+has operands of about equal length, where a Horner loop multiplies its
+long running value by a short factor once per term.
 
 Everything rational stays a ``fractions.Fraction``; e**x, pi**2/6 and
 e**-M1 only enter at the final comparison, evaluated to 50 significant
@@ -179,16 +187,17 @@ def ocmax_cofactors(mask: Mask, n: int):
 
 
 def ocmax_terms(mask: Mask, n: int, lam: Fraction):
-    """Yield row n's upper bounds as unreduced pairs (A_t, B_t), t = 1..n.
+    """Yield row n's upper bounds as factors (a**(t-1), P_t, b**(t-1), Q_t), t = 1..n.
 
-    A_t / B_t equals ocmax at support position t when lam == h_dot(n,
-    mask).  No gcd is taken, so a caller that only compares the bound
-    with an integer v tests A_t >= v * B_t.
+    With lam = a/b == h_dot(n, mask), the bound at support position t is
+    a**(t-1) * P_t / (b**(t-1) * Q_t).  Neither product is formed and no
+    gcd is taken, so a caller that compares the bound with an integer v
+    can decide from the factors' sizes first.
     """
     a, b = lam.numerator, lam.denominator
     a_pow = b_pow = 1  # a**(t-1), b**(t-1)
     for p, q in ocmax_cofactors(mask, n):
-        yield a_pow * p, b_pow * q
+        yield a_pow, p, b_pow, q
         a_pow *= a
         b_pow *= b
 
@@ -196,15 +205,32 @@ def ocmax_terms(mask: Mask, n: int, lam: Fraction):
 def ocmax_row(mask: Mask, n: int) -> dict[int, Fraction]:
     """Row n's upper bounds as ``Fraction``s of ocmax_terms; equal to ocmax per entry."""
     terms = ocmax_terms(mask, n, h_dot(n, mask))
-    return {m: Fraction(a, b) for m, (a, b) in zip(mask.support(n), terms)}
+    return {m: Fraction(a_pow * p, b_pow * q)
+            for m, (a_pow, p, b_pow, q) in zip(mask.support(n), terms)}
+
+
+def _power_sum(cs: list[int], a: int, b: int, lo: int, hi: int, want_a: bool = True):
+    """(S, a**(hi-lo), b**(hi-lo)) for S = sum of cs[u] * a**(u-lo) * b**(hi-1-u), lo <= u < hi.
+
+    Splits at mid: S[lo, hi) = S[lo, mid) * b**(hi-mid) + a**(mid-lo) *
+    S[mid, hi), so the two halves' sums and powers are about equally long
+    when they are multiplied.  With want_a false no multiply forms the
+    a-power of [lo, hi): None stands in for it, or a for a single term.
+    """
+    if hi - lo == 1:
+        return cs[lo], a, b
+    mid = (lo + hi) // 2
+    s1, a1, b1 = _power_sum(cs, a, b, lo, mid)
+    s2, a2, b2 = _power_sum(cs, a, b, mid, hi, want_a)
+    return s1 * b2 + a1 * s2, a1 * a2 if want_a else None, b1 * b2
 
 
 def upper_ratio(mask: Mask, n: int) -> Fraction:
     """Row total of the upper bounds divided by (n!)**k, exactly.
 
     Same value as sum(ocmax_row(mask, n).values()) / (n!)**k but
-    assembled on a single integer common denominator, which keeps a
-    sweep over n <= 200 in the low seconds.
+    assembled on a single integer common denominator, whose numerator
+    is summed by halving (see the module docstring).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -221,14 +247,8 @@ def upper_ratio(mask: Mask, n: int) -> Fraction:
         cs[t - 1] = su[n - t] * q1 * q2**k
         q1 //= t
         q2 *= n - t
-    # Horner over sum(cs[u] * a**u * b**(n-1-u)); a and b stay small, so no
-    # product here ever multiplies two long operands.
-    acc = cs[n - 1]
-    bp = 1
-    for u in range(n - 2, -1, -1):
-        bp *= b
-        acc = acc * a + cs[u] * bp
-    return Fraction(acc, fact_n1 * bp * factorial(n) ** k)
+    acc, _, b_pow = _power_sum(cs, a, b, 0, n, want_a=False)
+    return Fraction(acc, fact_n1 * (b_pow // b) * factorial(n) ** k)
 
 
 def tail_threshold(mask: Mask, n: int, m1: int) -> int:

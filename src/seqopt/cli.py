@@ -256,13 +256,26 @@ def _write(out, text: str) -> None:
 
 # ------------------------------------------------------------- verification
 
-def _covers(a: int, b: int, v: int) -> bool:
-    """a / b >= v for ints a, v >= 0 and b >= 1, tested as a >= v * b.
+def _covers(a_pow: int, p: int, b_pow: int, q: int, v: int) -> bool:
+    """a_pow * p >= v * b_pow * q for ints a_pow, p, v >= 0 and b_pow, q >= 1.
 
-    As v * b < 2**(bits of v + bits of b), an a with more bits covers v
-    without the product.
+    The bound A = a_pow * p over B = b_pow * q covers v.  With la =
+    bits(a_pow) + bits(p) and lb = bits(v) + bits(b_pow) + bits(q), a
+    nonzero A is at least 2**(la-2) and v * B is below 2**lb, so la - 2 >=
+    lb decides PASS and la <= lb - 3 decides FAIL.  Only when la - lb is
+    -2, -1, 0 or 1 are the products formed.
     """
-    return a.bit_length() > v.bit_length() + b.bit_length() or a >= v * b
+    if not v:
+        return True
+    if not (a_pow and p):
+        return False
+    la = a_pow.bit_length() + p.bit_length()
+    lb = v.bit_length() + b_pow.bit_length() + q.bit_length()
+    if la - 2 >= lb:
+        return True
+    if la <= lb - 3:
+        return False
+    return a_pow * p >= v * (b_pow * q)
 
 
 def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False,
@@ -347,14 +360,14 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 
     # ocmax(mask) at support position t bounds the entry at position t; the
     # complement's bound at its position t bounds the entry at n + 1 - t, so
-    # that pass walks the support from the top.  Each bound is an integer
-    # pair A/B, compared with the entry without reducing it.
+    # that pass walks the support from the top.  Each bound comes as its
+    # factors, compared with the entry without multiplying them out first.
     dom_ok = True
     for n, lam, lam_c in zip(range(1, max_n + 1), lams, bounds.h_dots(comp, max_n)):
         support = mask.support(n)
         for ms, vec, h in ((support, mask, lam), (reversed(support), comp, lam_c)):
-            for m, (a, b) in zip(ms, bounds.ocmax_terms(vec, n, h)):
-                dom_ok &= _covers(a, b, tri.value(n, m))
+            for m, factors in zip(ms, bounds.ocmax_terms(vec, n, h)):
+                dom_ok &= _covers(*factors, tri.value(n, m))
     check("upper-bound-dominance", dom_ok,
           "ocmax covers every entry, complement cross-bound included")
 
@@ -447,13 +460,13 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
     line(f"mask {mask} k {mask.k} n {n}")
     line(f"lambda {_exact_str(report.lam)}")
     line(f"lambda_prime {_exact_str(report.lam_prime)}")
-    # Each bound is checked as its integer pair and printed from its factored
-    # form; neither builds the reduced Fraction.
+    # Each bound is checked and printed from its factored form; neither
+    # builds the reduced Fraction.
     terms = bounds.ocmax_terms(mask, n, report.lam)
     texts = _power_fraction_strs(report.lam, bounds.ocmax_cofactors(mask, n))
-    for m, (a, b), text in zip(mask.support(n), terms, texts):
+    for m, factors, text in zip(mask.support(n), terms, texts):
         v = numbers.value(mask, n, m)
-        good = _covers(a, b, v)
+        good = _covers(*factors, v)
         ok &= good
         line(f"m {m} ocmax {text} value {_exact_str(v)} "
              f"dominance {'PASS' if good else 'FAIL'}")
@@ -473,10 +486,11 @@ def cmd_stirling(args: argparse.Namespace, out) -> int:
     n = args.max_n
     mask = numbers.Mask.stirling()
     lines = []
+    # Both are int tuples indexed by m = 0..n: mask 01's support starts at 1.
     pairs = zip(numbers._unsigned_rows(mask, n), numbers._stirling_rows(n))
-    for nn, (urow, want) in enumerate(pairs, 1):
-        got = numbers.row_entries(mask, urow)
-        if got != want:
+    for nn, (urow, wrow) in enumerate(pairs, 1):
+        if urow != wrow:
+            got, want = numbers.row_entries(mask, urow), numbers.row_entries(mask, wrow)
             for m in sorted(set(got) | set(want)):
                 if got.get(m, 0) != want.get(m, 0):
                     lines.append(f"MISMATCH n={nn} m={m} "

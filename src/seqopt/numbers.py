@@ -373,27 +373,24 @@ def poly_zeros(mask: Mask, n: int, kind: str = "rising") -> list[Fraction | None
 
 
 def _stirling_rows(max_n: int):
-    """Yield rows 1..max_n of the classic unsigned Stirling numbers as ``{m: s(n, m)}``.
+    """Yield rows 1..max_n of the classic unsigned Stirling numbers as int tuples.
 
-    Uses the textbook recurrence s(n+1, m) = s(n, m-1) + n*s(n, m) with
-    s(1, 1) = 1, and holds only the previous row.  Kept deliberately
-    separate from the row step and the weights so that the two can be
-    diffed as independent computations.
+    Row n is (s(n, 0), ..., s(n, n)) with s(n, 0) = 0, from the textbook
+    recurrence s(n+1, m) = s(n, m-1) + n*s(n, m) with s(1, 1) = 1; only
+    the previous row is held.  Kept deliberately separate from the row
+    step and the weights so that the two can be diffed as independent
+    computations.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    row = {1: 1}
+    row = (0, 1)
     yield row
     for n in range(1, max_n):
-        nxt: dict[int, int] = {}
-        for m in range(1, n + 2):
-            v = row.get(m - 1, 0) + n * row.get(m, 0)
-            if v:
-                nxt[m] = v
-        row = nxt
+        row = tuple(lo + n * hi for lo, hi in zip((0, *row), (*row, 0)))
         yield row
 
 
 def stirling_ref(max_n: int) -> dict[int, dict[int, int]]:
-    """Classic unsigned Stirling numbers of the first kind, rows 1..max_n."""
-    return dict(enumerate(_stirling_rows(max_n), 1))
+    """Classic unsigned Stirling numbers of the first kind, rows 1..max_n, as {n: {m: s(n, m)}}."""
+    return {n: {m: s for m, s in enumerate(row) if s}
+            for n, row in enumerate(_stirling_rows(max_n), 1)}

@@ -6,7 +6,9 @@ from math import comb, factorial
 
 import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 
+from seqopt import bounds
 from seqopt.bounds import (
     exp_bound_holds,
     h_dot,
@@ -102,12 +104,15 @@ class TestOcmax:
                 assert ocmax_row(mask, n) == {m: ocmax(mask, n, m) for m in mask.support(n)}
 
     def test_integer_pairs_equal_the_row(self):
-        # ocmax_row is the Fraction view of these pairs, so the reference
+        # ocmax_row is the Fraction view of these factors, so the reference
         # is the closed form, entry by entry.
         for mask in all_masks(3):
             for n in range(1, 16):
-                terms = ocmax_terms(mask, n, h_dot(n, mask))
-                got = {t + mask.offset - 1: Fraction(a, b) for t, (a, b) in enumerate(terms, 1)}
+                lam = h_dot(n, mask)
+                got = {}
+                for t, (a_pow, p, b_pow, q) in enumerate(ocmax_terms(mask, n, lam), 1):
+                    assert (a_pow, b_pow) == (lam.numerator ** (t - 1), lam.denominator ** (t - 1))
+                    got[t + mask.offset - 1] = Fraction(a_pow * p, b_pow * q)
                 assert got == {m: ocmax(mask, n, m) for m in mask.support(n)}
 
     def test_cofactors_are_the_power_free_parts(self):
@@ -123,9 +128,10 @@ class TestOcmax:
     def test_integer_pairs_are_unreduced(self):
         # A_1 = ((n-1)!)**k * G_{n-1} and B_1 = ((n-1)!)**k: no gcd was taken.
         mask = Mask.from_string("011")
-        a, b = next(ocmax_terms(mask, 5, h_dot(5, mask)))
-        assert b == factorial(4) ** 2
-        assert a == b * value(mask, 5, mask.offset)
+        a_pow, p, b_pow, q = next(ocmax_terms(mask, 5, h_dot(5, mask)))
+        assert (a_pow, b_pow) == (1, 1)
+        assert b_pow * q == factorial(4) ** 2
+        assert a_pow * p == b_pow * q * value(mask, 5, mask.offset)
 
     def test_cross_dominance_through_complement(self):
         for mask in all_masks(2):
@@ -238,8 +244,9 @@ class TestRatioReport:
         assert all(0 <= t.probability <= 1 for t in rep.tails)
 
     def test_upper_ratio_equals_row_total(self):
-        for mask in all_masks(2):
-            for n in (2, 4, 7, 10):
+        # Odd, even and power-of-two lengths split the halving sum unevenly.
+        for mask in all_masks(3):
+            for n in (2, 3, 7, 16, 33):
                 want = sum(ocmax_row(mask, n).values()) / Fraction(factorial(n) ** mask.k)
                 assert upper_ratio(mask, n) == want
 
@@ -248,6 +255,34 @@ class TestRatioReport:
             ratio_report(Mask.stirling(), 1)
         with pytest.raises(ValueError):
             upper_ratio(Mask.stirling(), 1)
+
+
+def horner_power_sum(cs, a, b):
+    """sum(cs[u] * a**u * b**(len(cs)-1-u)) by Horner's rule, one term at a time."""
+    acc = cs[-1]
+    b_pow = 1
+    for c in reversed(cs[:-1]):
+        b_pow *= b
+        acc = acc * a + c * b_pow
+    return acc
+
+
+class TestPowerSum:
+    @given(cs=st.lists(st.integers(0, 2**300), min_size=1, max_size=40),
+           a=st.integers(0, 2**200), b=st.integers(1, 2**200))
+    @example(cs=[3, 1, 4, 1, 5], a=0, b=7)
+    @example(cs=[3, 1, 4, 1, 5], a=7, b=1)
+    @example(cs=[2], a=0, b=1)
+    def test_halving_equals_horner(self, cs, a, b):
+        n = len(cs)
+        assert bounds._power_sum(cs, a, b, 0, n) == (horner_power_sum(cs, a, b), a**n, b**n)
+        assert bounds._power_sum(cs, a, b, 0, n, want_a=False)[::2] == (
+            horner_power_sum(cs, a, b), b**n)
+
+    def test_inner_range(self):
+        cs = [5, 7, 11, 13, 17, 19, 23]
+        s, a_pow, b_pow = bounds._power_sum(cs, 2, 3, 2, 6)
+        assert (s, a_pow, b_pow) == (horner_power_sum(cs[2:6], 2, 3), 2**4, 3**4)
 
 
 class TestBoundingSequence:

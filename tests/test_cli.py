@@ -338,6 +338,47 @@ class TestExplicitSumCheck:
             assert numbers.explicit_row(mask, n) == tri.row(n)
 
 
+def near_pow2(lo, hi):
+    """2**j - 1, 2**j or 2**j + 1 for j in lo..hi: the edges of a bit length."""
+    return st.integers(lo, hi).flatmap(lambda j: st.sampled_from([2**j - 1, 2**j, 2**j + 1]))
+
+
+class TestCovers:
+    """_covers decides a_pow * p >= v * b_pow * q, mostly from bit lengths alone."""
+
+    @given(near_pow2(0, 80), near_pow2(0, 80), near_pow2(1, 80), near_pow2(1, 80),
+           near_pow2(0, 80))
+    @example(0, 2**60, 1, 1, 1)
+    @example(2**60, 0, 1, 1, 1)
+    @example(0, 0, 1, 1, 0)
+    def test_equals_the_product_comparison(self, a_pow, p, b_pow, q, v):
+        assert cli._covers(a_pow, p, b_pow, q, v) == (a_pow * p >= v * b_pow * q)
+
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60), st.integers(1, 60),
+           st.integers(-4, 4), st.lists(st.integers(-1, 1), min_size=5, max_size=5))
+    def test_equals_the_product_comparison_near_equal_lengths(self, ja, jp, jb, jv, d, nudge):
+        # q's bit length is chosen so that la - lb lands in or next to the
+        # band where the bit test cannot decide.
+        jq = max(1, ja + jp - jb - jv + d)
+        a_pow, p, b_pow, q, v = (2**j + e for j, e in zip((ja, jp, jb, jq, jv), nudge))
+        assert cli._covers(a_pow, p, b_pow, q, v) == (a_pow * p >= v * b_pow * q)
+
+    def test_smallest_a_against_largest_v_b_fails(self):
+        # A = 2**20 with la = 22; v * B = 127**3 > A with lb = 21.  A PASS
+        # slack of la - 1 >= lb or la >= lb would pass it.
+        assert cli._covers(2**10, 2**10, 2**7 - 1, 2**7 - 1, 2**7 - 1) is False
+
+    def test_largest_a_against_smallest_v_b_passes(self):
+        # A = 1023**2 with la = 20; v * B = 2**19 < A with lb = 22.  A FAIL
+        # slack of la <= lb - 2 would fail it.
+        assert cli._covers(2**10 - 1, 2**10 - 1, 2**6, 2**6, 2**7) is True
+
+    def test_zero_factors(self):
+        assert cli._covers(0, 2**100, 1, 1, 1) is False
+        assert cli._covers(2**100, 0, 1, 1, 1) is False
+        assert cli._covers(0, 0, 2**100, 2**100, 0) is True
+
+
 class TestDominanceCheck:
     """upper-bound-dominance compares the integer pairs with the triangle under test.
 

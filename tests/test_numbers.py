@@ -329,8 +329,12 @@ class TestStirlingRef:
             stirling_ref(0)
 
     def test_streamed_rows_match_triangle(self):
+        # Row n is the int tuple s(n, 0..n), laid out as mask 01's unsigned row.
         tri = triangle(Mask.stirling(), 60)
-        assert list(numbers._stirling_rows(60)) == [tri.row(n) for n in range(1, 61)]
+        rows = list(numbers._stirling_rows(60))
+        assert [len(row) for row in rows] == [n + 1 for n in range(1, 61)]
+        assert all(row[0] == 0 for row in rows)
+        assert [dict(enumerate(row[1:], 1)) for row in rows] == [tri.row(n) for n in range(1, 61)]
 
 
 class TestDecimalRows:

@@ -209,20 +209,19 @@ def ocmax_row(mask: Mask, n: int) -> dict[int, Fraction]:
             for m, (a_pow, p, b_pow, q) in zip(mask.support(n), terms)}
 
 
-def _power_sum(cs: list[int], a: int, b: int, lo: int, hi: int, want_a: bool = True):
+def _power_sum(cs: list[int], a: int, b: int, lo: int, hi: int):
     """(S, a**(hi-lo), b**(hi-lo)) for S = sum of cs[u] * a**(u-lo) * b**(hi-1-u), lo <= u < hi.
 
     Splits at mid: S[lo, hi) = S[lo, mid) * b**(hi-mid) + a**(mid-lo) *
     S[mid, hi), so the two halves' sums and powers are about equally long
-    when they are multiplied.  With want_a false no multiply forms the
-    a-power of [lo, hi): None stands in for it, or a for a single term.
+    when they are multiplied.
     """
     if hi - lo == 1:
         return cs[lo], a, b
     mid = (lo + hi) // 2
     s1, a1, b1 = _power_sum(cs, a, b, lo, mid)
-    s2, a2, b2 = _power_sum(cs, a, b, mid, hi, want_a)
-    return s1 * b2 + a1 * s2, a1 * a2 if want_a else None, b1 * b2
+    s2, a2, b2 = _power_sum(cs, a, b, mid, hi)
+    return s1 * b2 + a1 * s2, a1 * a2, b1 * b2
 
 
 def upper_ratio(mask: Mask, n: int) -> Fraction:
@@ -247,7 +246,7 @@ def upper_ratio(mask: Mask, n: int) -> Fraction:
         cs[t - 1] = su[n - t] * q1 * q2**k
         q1 //= t
         q2 *= n - t
-    acc, _, b_pow = _power_sum(cs, a, b, 0, n, want_a=False)
+    acc, _, b_pow = _power_sum(cs, a, b, 0, n)
     return Fraction(acc, fact_n1 * (b_pow // b) * factorial(n) ** k)
 
 

@@ -259,23 +259,13 @@ def _write(out, text: str) -> None:
 def _covers(a_pow: int, p: int, b_pow: int, q: int, v: int) -> bool:
     """a_pow * p >= v * b_pow * q for ints a_pow, p, v >= 0 and b_pow, q >= 1.
 
-    The bound A = a_pow * p over B = b_pow * q covers v.  With la =
-    bits(a_pow) + bits(p) and lb = bits(v) + bits(b_pow) + bits(q), a
-    nonzero A is at least 2**(la-2) and v * B is below 2**lb, so la - 2 >=
-    lb decides PASS and la <= lb - 3 decides FAIL.  Only when la - lb is
-    -2, -1, 0 or 1 are the products formed.
+    A nonzero A = a_pow * p is at least 2**(bits(a_pow) + bits(p) - 2) and
+    v * b_pow * q is below 2**(bits(v) + bits(b_pow) + bits(q)), so an A
+    that many bits longer covers v without the products.
     """
-    if not v:
-        return True
-    if not (a_pow and p):
-        return False
-    la = a_pow.bit_length() + p.bit_length()
-    lb = v.bit_length() + b_pow.bit_length() + q.bit_length()
-    if la - 2 >= lb:
-        return True
-    if la <= lb - 3:
-        return False
-    return a_pow * p >= v * (b_pow * q)
+    return (bool(a_pow and p and a_pow.bit_length() + p.bit_length() - 2
+                 >= v.bit_length() + b_pow.bit_length() + q.bit_length())
+            or a_pow * p >= v * (b_pow * q))
 
 
 def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False,

@@ -33,23 +33,28 @@ That sum is evaluated by halving the index range, so every big multiply
 has operands of about equal length, where a Horner loop multiplies its
 long running value by a short factor once per term.
 
-Everything rational stays a ``fractions.Fraction``; e**x, pi**2/6 and
-e**-M1 only enter at the final comparison, evaluated to 50 significant
-digits with a fixed 1e-12 acceptance margin on top of the bound.
+Everything stays rational.  e**x, e, ln(n-1) and pi enter only as
+enclosures: pairs of integers lo <= c * 2**w <= hi, rounded outward at
+every step, from classical series (Taylor for e**x, atanh for the
+logarithm, Machin's formula for pi).  A comparison or a ceiling is
+decided from an enclosure once both ends agree; the precision doubles
+from 64 bits until they do, and past 2**14 bits the step raises
+``RuntimeError``.  The ratio checks keep the fixed 1e-12 acceptance
+margin on top of the bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, exp, factorial
-
-import mpmath
+from math import ceil, comb, exp, factorial
+from typing import NamedTuple
 
 from .numbers import Mask, f_weight, g_weight, value
 
-_DPS = 50
 MARGIN = Fraction(1, 10**12)
+# Enclosures start at _START_BITS bits and double until they settle.
+_START_BITS = 64
+_CAP_BITS = 1 << 14
 
 __all__ = [
     "MARGIN",
@@ -71,18 +76,59 @@ __all__ = [
 ]
 
 
-def exp_bound_holds(lhs: Fraction, exponent) -> bool:
-    """True when lhs <= e**exponent + 1e-12.
+def _exp_bounds(x: Fraction, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, w) with lo <= e**x * 2**w <= hi, all ints, and w >= bits.
 
-    The exponential side is evaluated to 50 significant digits; the
-    rational side is converted at the same precision and never rounded
-    beforehand.
+    |x| is halved r times to z < 1/2.  e**z is the Taylor sum of
+    z**i / i!, each term rounded outward, up to the first term whose upper
+    end is at most 1; the terms after it add less than that term, as
+    z / (i + 1) <= 1/4.  The sum is squared back r times, floored below and
+    ceiled above, and inverted when x < 0.
     """
-    exponent = Fraction(exponent)
-    with mpmath.workdps(_DPS):
-        rhs = mpmath.e ** (mpmath.mpf(exponent.numerator) / mpmath.mpf(exponent.denominator))
-        left = mpmath.mpf(lhs.numerator) / mpmath.mpf(lhs.denominator)
-        return bool(left <= rhs + mpmath.mpf(10) ** -12)
+    a, b = abs(x.numerator), x.denominator
+    r = max(0, (2 * a).bit_length() - b.bit_length() + 1)  # |x| / 2**r < 1/2
+    w = bits + 2 * r + 8  # each squaring doubles the relative error
+    b <<= r
+    lo = hi = t_lo = t_hi = 1 << w
+    i = 0
+    while t_hi > 1:
+        i += 1
+        t_lo = t_lo * a // (b * i)
+        t_hi = -(-t_hi * a // (b * i))
+        lo += t_lo
+        hi += t_hi
+    hi += t_hi  # the remainder
+    for _ in range(r):
+        lo = lo * lo >> w
+        hi = -(-hi * hi >> w)
+    if x < 0:
+        lo, hi = (1 << 2 * w) // hi, -(-(1 << 2 * w) // lo)
+    return lo, hi, w
+
+
+def exp_bound_holds(lhs: Fraction, exponent) -> bool:
+    """True when lhs <= e**exponent + 1e-12, decided exactly.
+
+    e**exponent + 1e-12 is irrational unless exponent is 0, so some
+    enclosure of e**exponent (``_exp_bounds``) settles the comparison;
+    the precision doubles until one does.  lhs is only cross-multiplied,
+    never divided or reduced.
+    """
+    x = Fraction(exponent)
+    num, den = lhs.numerator, lhs.denominator
+    bits = _START_BITS
+    while bits <= _CAP_BITS:
+        lo, hi, w = _exp_bounds(x, bits)
+        # lhs <= c/2**w + MARGIN, times 2**w * den * MARGIN.denominator: true
+        # at c = lo settles it true, false at c = hi settles it false.
+        left = num * MARGIN.denominator << w
+        margin = MARGIN.numerator << w
+        if left <= (lo * MARGIN.denominator + margin) * den:
+            return True
+        if left > (hi * MARGIN.denominator + margin) * den:
+            return False
+        bits *= 2
+    raise RuntimeError(f"lhs is within 2**-{_CAP_BITS} of e**{x} + {MARGIN}: undecided")
 
 
 def _harmonic_sums(k: int, max_n: int):
@@ -250,13 +296,52 @@ def upper_ratio(mask: Mask, n: int) -> Fraction:
     return Fraction(acc, fact_n1 * (b_pow // b) * factorial(n) ** k)
 
 
+def _odd_series(p: int, q: int, w: int, sign: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2**w * S <= hi for S = sum of sign**i * t**(2i+1) / (2i+1), t = p/q.
+
+    sign 1 gives atanh(t), sign -1 gives atan(t); 0 <= t <= 1/2.  Each
+    term is rounded outward; the sum stops at the first term whose upper
+    end is at most 1, and what follows is within twice that term either
+    way, as t**2 <= 1/4.
+    """
+    pp, qq = p * p, q * q
+    pow_lo, pow_hi = (p << w) // q, -(-(p << w) // q)  # t**(2i+1) * 2**w
+    lo = hi = 0
+    d, s = 1, 1
+    while pow_hi > 1:
+        term_lo, term_hi = pow_lo // d, -(-pow_hi // d)
+        if s > 0:
+            lo, hi = lo + term_lo, hi + term_hi
+        else:
+            lo, hi = lo - term_hi, hi - term_lo
+        pow_lo, pow_hi = pow_lo * pp // qq, -(-pow_hi * pp // qq)
+        d, s = d + 2, s * sign
+    return lo - 2 * pow_hi, hi + 2 * pow_hi
+
+
+def _ln_pi_bounds(m: int, w: int) -> tuple[int, int, int, int]:
+    """(ln_lo, ln_hi, pi_lo, pi_hi): enclosures of ln(m) and pi at scale 2**w, m >= 1.
+
+    ln m = j ln 2 + 2 atanh((m - 2**j) / (m + 2**j)) with 2**j <= m < 2**(j+1),
+    ln 2 = 2 atanh(1/3), and pi = 16 atan(1/5) - 4 atan(1/239) (Machin).
+    """
+    j = m.bit_length() - 1
+    l2_lo, l2_hi = _odd_series(1, 3, w, 1)
+    u_lo, u_hi = _odd_series(m - (1 << j), m + (1 << j), w, 1)
+    a_lo, a_hi = _odd_series(1, 5, w, -1)
+    b_lo, b_hi = _odd_series(1, 239, w, -1)
+    return (2 * (j * l2_lo + u_lo), 2 * (j * l2_hi + u_hi),
+            16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo)
+
+
 def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     """Concentration threshold for masks whose first bit is 0.
 
     Returns ceil(e*k*c_1*(ln(n-1) + 1) + e*(pi**2/6)*sum_{p>=2} c_p*comb(k, p))
-    plus m1, with natural logarithms evaluated at 50 significant digits.
-    The row mass strictly beyond index M + offset - 1 then stays within
-    e**-m1; see tail_probability.
+    plus m1, with natural logarithms.  The ceiling is exact: it is taken
+    once both ends of the enclosure share it.  The row mass strictly
+    beyond index M + offset - 1 then stays within e**-m1; see
+    tail_probability.
     """
     if mask.bits[0] != 0:
         raise ValueError("mask has first bit 1; its upper tail is not concentrated, "
@@ -266,10 +351,24 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     if m1 < 1:
         raise ValueError(f"m1 must be a positive integer, got {m1}")
     k, bits = mask.k, mask.bits
-    with mpmath.workdps(_DPS):
-        core = mpmath.e * k * bits[1] * (mpmath.log(n - 1) + 1)
-        core += mpmath.e * (mpmath.pi**2 / 6) * sum(bits[p] * comb(k, p) for p in range(2, k + 1))
-        return int(mpmath.ceil(core)) + m1
+    c1 = k * bits[1]
+    c2 = sum(bits[p] * comb(k, p) for p in range(2, k + 1))
+    if not (c1 or c2):
+        return m1
+    w = _START_BITS
+    while w <= _CAP_BITS:
+        e_lo, e_hi, we = _exp_bounds(Fraction(1), w)
+        ln_lo, ln_hi, pi_lo, pi_hi = _ln_pi_bounds(n - 1, w)
+        # Every factor is nonnegative, so the ends combine end by end.
+        lo = Fraction(e_lo, 1 << we) * (c1 * (Fraction(ln_lo, 1 << w) + 1)
+                                        + c2 * Fraction(pi_lo, 1 << w) ** 2 / 6)
+        hi = Fraction(e_hi, 1 << we) * (c1 * (Fraction(ln_hi, 1 << w) + 1)
+                                        + c2 * Fraction(pi_hi, 1 << w) ** 2 / 6)
+        if ceil(lo) == ceil(hi):
+            return ceil(hi) + m1
+        w *= 2
+    raise RuntimeError(f"tail threshold of mask {mask} at n={n} is within 2**-{_CAP_BITS} "
+                       "of an integer: undecided")
 
 
 def tail_probability(mask: Mask, n: int, threshold_m: int) -> Fraction:
@@ -304,17 +403,15 @@ def mirrored_tail(mask: Mask, n: int, m1: int) -> tuple[int, Fraction]:
     return thr, Fraction(mass, factorial(n) ** mask.k)
 
 
-@dataclass(frozen=True)
-class TailCheck:
+class TailCheck(NamedTuple):
     m1: int
     threshold: int
     probability: Fraction
-    bound: float  # e**-m1 to double precision; the ok flag used 50 digits
+    bound: float  # e**-m1 to double precision, for display; ok is decided exactly
     ok: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One row's bounds: growth exponents, ratio and tails.
 
     The per-entry caps are ocmax_row(mask, n), or ocmax_terms in integers.

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
@@ -28,8 +29,6 @@ from fractions import Fraction
 from itertools import accumulate, groupby
 from math import factorial, gcd, prod
 from operator import itemgetter
-
-import mpmath
 
 from . import bounds, numbers, oracle
 
@@ -216,19 +215,75 @@ def render_plain(tri: numbers.Triangle) -> str:
     return "".join(_chunks("plain", tri.mask, _triangle_rows(tri)))
 
 
-def _fstr(x: Fraction, digits: int = 6) -> str:
-    # Decimal preview of a possibly huge exact rational.
-    with mpmath.workdps(digits + 10):
-        return mpmath.nstr(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator), digits)
+def _round_bits(num: int, den: int, bits: int) -> tuple[int, int]:
+    """num/den > 0 to ``bits`` significant bits, nearest with ties to even.
+
+    Returns (man, exp) with man * 2**exp the rounded value.
+    """
+    shift = bits + 2 - num.bit_length() + den.bit_length()  # q has >= bits + 2 bits
+    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    extra = q.bit_length() - bits
+    man, low, half = q >> extra, q & ((1 << extra) - 1), 1 << (extra - 1)
+    if low > half or (low == half and (r or man & 1)):
+        man += 1
+    return man, extra - shift
+
+
+def _fstr(x: Fraction) -> str:
+    """Six significant digits of x, by the 16-digit binary formatter of earlier releases.
+
+    The digits follow that formatter's rounding chain, in integers: x's
+    numerator, denominator and quotient rounded to 56 bits, the quotient
+    cut to 39 significant bits (or to an integer, if longer), its decimal
+    expansion cut after 7 digits and rounded half up at 6.  So a binary
+    tie such as 2**-10 = 0.0009765625 rounds up, to 0.000976563, and a
+    decimal tie such as 1.234565 rounds down, to 1.23456: its binary value
+    falls just below the tie once cut.  The layout is fixed-point for
+    decimal exponents -4..5 ("2332.21", "0.00012") and "1.0e+6" or
+    "1.0e-6" outside, trailing zeros stripped down to one.
+    """
+    if not x:
+        return "0.0"
+    n_man, n_exp = _round_bits(abs(x.numerator), 1, 56)
+    d_man, d_exp = _round_bits(x.denominator, 1, 56)
+    man, exp = _round_bits(n_man, d_man, 56)
+    exp += n_exp - d_exp
+    f = max(39 - exp - man.bit_length(), 0)  # the cut value is y / 2**f
+    s = exp + f
+    y = man << s if s >= 0 else man >> -s
+    e = (y.bit_length() - 1 - f) * 30103 // 100000  # floor(log10 of the value), or one off
+    while True:
+        lead = (y * 10 ** (6 - e)) >> f if e <= 6 else y // (10 ** (e - 6) << f)
+        if lead >= 10**7:
+            e += 1
+        elif lead < 10**6:
+            e -= 1
+        else:
+            break
+    lead = lead // 10 + (lead % 10 >= 5)
+    if lead == 10**6:
+        lead, e = 10**5, e + 1
+    digits = str(lead)
+    if -5 < e < 6:
+        text = "0." + "0" * (-e - 1) + digits if e < 0 else f"{digits[:e + 1]}.{digits[e + 1:]}"
+        suffix = ""
+    else:
+        text = f"{digits[0]}.{digits[1:]}"
+        suffix = f"e+{e}" if e > 0 else f"e{e}"
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return ("-" if x < 0 else "") + text + suffix
 
 
 @contextmanager
 def _sink(path: str | None):
     """Stdout, or for a file ``path`` a temporary file that replaces it on success.
 
-    The temporary file sits in the target's directory, so ``os.replace``
-    is atomic; if the command raises, it is deleted and the target keeps
-    its old contents.
+    A symlink is followed, so the file it names is the target.  The
+    temporary file sits in the target's directory, so ``os.replace`` is
+    atomic, and it takes an existing target's permission bits; if the
+    command raises, it is deleted and the target keeps its old contents.
     """
     if path is None:
         yield sys.stdout
@@ -239,11 +294,14 @@ def _sink(path: str | None):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
             yield fh
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

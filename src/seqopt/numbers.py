@@ -34,13 +34,13 @@ time where an int of d digits takes time quadratic in d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
                      InvalidOperation, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, prod
+from typing import NamedTuple
 
 DEFAULT_SUBSET_LIMIT = 12
 
@@ -69,8 +69,11 @@ class SubsetLimitError(ValueError):
     """explicit_row was asked to enumerate more subsets than its cap allows."""
 
 
-@dataclass(frozen=True)
-class Mask:
+class _MaskBits(NamedTuple):
+    bits: tuple[int, ...]
+
+
+class Mask(_MaskBits):
     """Bit vector ``(c_0, ..., c_k)`` choosing which record counts matter.
 
     ``bits[l] == 1`` means a row that is a record in exactly ``l`` of the
@@ -80,15 +83,15 @@ class Mask:
     '10'
     """
 
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
+    def __new__(cls, bits) -> "Mask":
+        bits = tuple(int(b) for b in bits)
         if len(bits) < 2:
             raise ValueError(f"mask needs k >= 1, i.e. at least two bits, got {bits!r}")
         if any(b not in (0, 1) for b in bits):
             raise ValueError(f"mask bits must be 0 or 1, got {bits!r}")
-        object.__setattr__(self, "bits", bits)
+        return super().__new__(cls, bits)
 
     @classmethod
     def from_string(cls, text: str) -> "Mask":
@@ -226,8 +229,7 @@ def row_entries(mask: Mask, urow: tuple) -> dict:
     return {u + off: c for u, c in enumerate(urow) if u >= 1 and c}
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Exact rows 1..max_n for one mask; zero entries are not stored."""
 
     mask: Mask
@@ -306,8 +308,7 @@ def explicit_value(mask: Mask, n: int, m: int, subset_limit: int = DEFAULT_SUBSE
     return explicit_row(mask, n, subset_limit).get(m, 0)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(NamedTuple):
     """Integer-coefficient polynomial; coefficients[i] multiplies x**i."""
 
     coefficients: tuple[int, ...]

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from typing import NamedTuple
 
 from .numbers import Mask
 
@@ -84,8 +84,7 @@ def optimization_set_bruteforce(points, relations=(operator.le, operator.lt)) ->
     raise AssertionError("unreachable: the full point set covers itself")
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Exact counts of selected-row totals over every permutation tuple."""
 
     mask: Mask

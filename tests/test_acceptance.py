@@ -1,9 +1,9 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Each test prints one pass/fail line (run with ``pytest -s`` to see them
-all).  Everything numeric is exact; the only non-rational comparisons go
-through exp_bound_holds, which evaluates the transcendental side to 50
-significant digits and allows the fixed 1e-12 margin.
+all).  Everything numeric is exact; the comparisons with e**x go through
+exp_bound_holds, which decides them exactly from integer enclosures of
+e**x and allows the fixed 1e-12 margin.
 """
 
 import random

@@ -103,6 +103,30 @@ class TestTriangleCommand:
         assert out == ""
         assert "3,2,3" in target.read_text()
 
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+    def test_out_through_a_symlink_replaces_the_file_it_names(self, capsys, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("old")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "triangle", "--mask", "01", "--n", "2", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(target)
+        assert target.read_text() == "mask 01 k 1\nn=1  1:1\nn=2  1:1  2:1\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "target.txt"]
+
+    def test_out_keeps_the_replaced_files_permission_bits(self, capsys, tmp_path):
+        target = tmp_path / "t.txt"
+        target.write_text("old")
+        for mode in (0o600, 0o640):
+            os.chmod(target, mode)
+            code, _, _ = run(capsys, "triangle", "--mask", "01", "--n", "2",
+                             "--out", str(target))
+            assert code == 0
+            assert target.read_text().startswith("mask 01 k 1\n")
+            assert stat.S_IMODE(os.stat(target).st_mode) == mode
+
     def test_identical_config_gives_identical_bytes(self, capsys):
         _, first, _ = run(capsys, "triangle", "--mask", "011", "--n", "6", "--format", "json")
         _, second, _ = run(capsys, "triangle", "--mask", "011", "--n", "6", "--format", "json")

@@ -353,8 +353,6 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     k, bits = mask.k, mask.bits
     c1 = k * bits[1]
     c2 = sum(bits[p] * comb(k, p) for p in range(2, k + 1))
-    if not (c1 or c2):
-        return m1
     w = _START_BITS
     while w <= _CAP_BITS:
         e_lo, e_hi, we = _exp_bounds(Fraction(1), w)

@@ -94,6 +94,11 @@ class Mask(_MaskBits):
         return super().__new__(cls, bits)
 
     @classmethod
+    def _make(cls, iterable) -> "Mask":
+        # namedtuple's _make, and _replace through it, would skip __new__'s checks.
+        return cls(*iterable)
+
+    @classmethod
     def from_string(cls, text: str) -> "Mask":
         """Parse the wire format ``"c0c1...ck"``, e.g. ``"01"``."""
         if not text or set(text) - {"0", "1"}:

@@ -57,6 +57,14 @@ class TestMask:
         with pytest.raises(ValueError):
             Mask.from_string("")
 
+    def test_tuple_helpers_validate(self):
+        assert Mask._make([(0, 1)]) == Mask.stirling()
+        assert Mask.stirling()._replace(bits=(1, 1)) == Mask.from_string("11")
+        with pytest.raises(ValueError):
+            Mask.stirling()._replace(bits=(0, 2))
+        with pytest.raises(ValueError):
+            Mask._make([(1,)])
+
     def test_complement_examples(self):
         assert str(Mask.from_string("01").complement()) == "10"
         assert str(Mask.from_string("011").complement()) == "100"

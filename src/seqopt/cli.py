@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 # Test hook: ``verify`` builds its triangle through this factory; ``stirling``
-# and ``triangle`` stream numbers._unsigned_rows and numbers.decimal_rows.
+# and ``triangle`` stream numbers._unsigned_rows, the latter in Decimal.
 _TRIANGLE_FACTORY = numbers.triangle
 
 __all__ = [
@@ -429,9 +429,9 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
               f"{side} mass within e^-m1 for m1 in 1..3")
 
     if mask.bits == (0, 1):
-        ref = numbers.stirling_ref(max_n)
+        ref = numbers._stirling_rows(max_n)
         check("stirling-reference",
-              all(tri.row(n) == ref[n] for n in range(1, max_n + 1)),
+              all(tri.row(n) == numbers.row_entries(mask, row) for n, row in enumerate(ref, 1)),
               f"rows 1..{max_n} identical to the classic recurrence")
 
     if use_oracle:
@@ -463,7 +463,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 # ----------------------------------------------------------------- commands
 
 def cmd_triangle(args: argparse.Namespace, out) -> int:
-    urows = numbers.decimal_rows(args.mask, args.max_n)
+    urows = numbers._unsigned_rows(args.mask, args.max_n, Decimal)
     rows = ((n, numbers.row_entries(args.mask, urow).items())
             for n, urow in enumerate(urows, 1))
     for text in _chunks(args.fmt, args.mask, rows):

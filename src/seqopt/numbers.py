@@ -26,16 +26,18 @@ subsets of {2..n}; it exists, together with the exhaustive counter in
 ``seqopt.oracle``, as an independent route to the same integers.
 
 All arithmetic is exact: counts are Python ints, weights are
-``fractions.Fraction``; nothing here ever rounds.  ``decimal_rows`` runs
-the same recurrence in ``decimal.Decimal`` under a context that traps
-every rounding, because a Decimal converts to a decimal string in linear
-time where an int of d digits takes time quadratic in d.
+``fractions.Fraction``; nothing here ever rounds.  One row fold,
+``_unsigned_rows``, yields rows of either ints or ``decimal.Decimal``s,
+each step under a context that traps every rounding: a Decimal converts
+to a decimal string in linear time where an int of d digits takes time
+quadratic in d.  A weight of 1, as every step of the Stirling mask 01
+has, is added rather than multiplied.
 """
 
 from __future__ import annotations
 
-from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact,
-                     InvalidOperation, Overflow, Rounded, localcontext)
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation,
+                     Overflow, Rounded, localcontext)
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -50,7 +52,6 @@ __all__ = [
     "Mask",
     "SubsetLimitError",
     "Triangle",
-    "decimal_rows",
     "explicit_row",
     "explicit_value",
     "f_weight",
@@ -181,23 +182,35 @@ def _row_step(prev: tuple, gc, gp) -> tuple:
 
     ``gc`` and ``gp`` are g_weight(n+1, mask) and g_weight(n+1, ~mask) of
     the same numeric type as the row; slot 0 holds that type's zero and
-    stands in for the missing neighbours at both ends.
+    stands in for the missing neighbours at both ends.  A weight of 1 is
+    added, not multiplied: on big entries a product by 1 costs as much as
+    the other product.  When gp is 1, the weights and the neighbours swap
+    places so that one sum serves both cases.
     """
-    return (prev[0], *[gc * a + gp * b for a, b in zip(prev, prev[1:] + prev[:1])])
+    lo, hi = prev, prev[1:] + prev[:1]
+    if gp == 1:
+        gc, gp, lo, hi = gp, gc, hi, lo
+    if gc == 1:
+        return (prev[0], *[a + gp * b for a, b in zip(lo, hi)])
+    return (prev[0], *[gc * a + gp * b for a, b in zip(lo, hi)])
 
 
-def _unsigned_rows(mask: Mask, max_n: int):
-    """Yield unsigned rows 1..max_n as int tuples, uncached.
+def _unsigned_rows(mask: Mask, max_n: int, num=int):
+    """Yield unsigned rows 1..max_n as tuples of ``num`` (int or Decimal), uncached.
 
     Row n is indexed 0..n with slot 0 unused; only the previous row is held.
+    Each step runs under the exact context, entered per step and never held
+    in the caller across a ``yield``.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     comp = mask.complement()
-    row = (0, 1)
+    row = (num(0), num(1))
     yield row
     for n in range(1, max_n):
-        row = _row_step(row, g_weight(n + 1, mask), g_weight(n + 1, comp))
+        gc, gp = num(g_weight(n + 1, mask)), num(g_weight(n + 1, comp))
+        with localcontext(_EXACT):
+            row = _row_step(row, gc, gp)
         yield row
 
 
@@ -207,25 +220,6 @@ def _row(mask: Mask, n: int) -> tuple[int, ...]:
     for row in _unsigned_rows(mask, n):
         pass
     return row
-
-
-def decimal_rows(mask: Mask, max_n: int):
-    """Yield unsigned rows 1..max_n as exact ``Decimal`` tuples, uncached.
-
-    Same recurrence and layout as ``_unsigned_rows``; only the previous
-    row is held.  The exact context is active only while a row is built,
-    never in the caller across a ``yield``.
-    """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    comp = mask.complement()
-    row = (Decimal(0), Decimal(1))
-    yield row
-    for n in range(1, max_n):
-        gc, gp = Decimal(g_weight(n + 1, mask)), Decimal(g_weight(n + 1, comp))
-        with localcontext(_EXACT):
-            row = _row_step(row, gc, gp)
-        yield row
 
 
 def row_entries(mask: Mask, urow: tuple) -> dict:

@@ -133,15 +133,15 @@ class TestTriangleCommand:
         assert first == second
 
     def test_failed_stream_leaves_out_target_unchanged(self, capsys, monkeypatch, tmp_path):
-        real_rows = numbers.decimal_rows
+        real_rows = numbers._unsigned_rows
 
-        def failing_rows(mask, max_n):
-            rows = real_rows(mask, max_n)
+        def failing_rows(mask, max_n, num=int):
+            rows = real_rows(mask, max_n, num)
             yield next(rows)
             yield next(rows)
             raise RuntimeError("row generator failed")
 
-        monkeypatch.setattr(numbers, "decimal_rows", failing_rows)
+        monkeypatch.setattr(numbers, "_unsigned_rows", failing_rows)
         target = tmp_path / "t.csv"
         target.write_text("old contents\n")
         with pytest.raises(RuntimeError, match="row generator failed"):

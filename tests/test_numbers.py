@@ -14,7 +14,6 @@ from seqopt import numbers
 from seqopt.numbers import (
     Mask,
     SubsetLimitError,
-    decimal_rows,
     explicit_value,
     f_weight,
     falling_poly,
@@ -345,16 +344,34 @@ class TestStirlingRef:
         assert [dict(enumerate(row[1:], 1)) for row in rows] == [tri.row(n) for n in range(1, 61)]
 
 
+def multiplying_rows(mask, max_n):
+    """Unsigned int rows 1..max_n by a fold that multiplies by both weights at every step."""
+    comp = mask.complement()
+    row = [0, 1]
+    yield tuple(row)
+    for j in range(2, max_n + 1):
+        gc, gp = g_weight(j, mask), g_weight(j, comp)
+        padded = row + [0]
+        row = [0] + [gc * padded[u - 1] + gp * padded[u] for u in range(1, j + 1)]
+        yield tuple(row)
+
+
 class TestDecimalRows:
     @pytest.mark.parametrize("mask", list(all_masks(3)), ids=str)
     def test_equal_to_cached_int_rows(self, mask):
-        rows = [tuple(int(c) for c in row) for row in decimal_rows(mask, 15)]
-        assert rows == list(numbers._unsigned_rows(mask, 15))
+        # One fold yields both types; the always-multiply fold pins its
+        # unit-weight branches (gc == 1 for 01, 001, 0001; gp == 1 for 10,
+        # 110, 1110) and its zero weights (00..0, 11..1).
+        want = list(multiplying_rows(mask, 30))
+        assert list(numbers._unsigned_rows(mask, 30)) == want
+        rows = list(numbers._unsigned_rows(mask, 30, decimal.Decimal))
+        assert all(type(c) is decimal.Decimal for row in rows for c in row)
+        assert [tuple(map(str, row)) for row in rows] == [tuple(map(str, row)) for row in want]
 
     def test_caller_context_untouched_by_partly_consumed_generator(self):
         with decimal.localcontext(decimal.Context(prec=5)) as ctx:
             before = repr(ctx)
-            rows = decimal_rows(Mask.from_string("0111"), 40)
+            rows = numbers._unsigned_rows(Mask.from_string("0111"), 40, decimal.Decimal)
             for _ in range(20):
                 next(rows)
             assert decimal.getcontext() is ctx
@@ -372,7 +389,7 @@ class TestDecimalRows:
 
     def test_rejects_empty_triangle(self):
         with pytest.raises(ValueError):
-            next(decimal_rows(Mask.stirling(), 0))
+            next(numbers._unsigned_rows(Mask.stirling(), 0, decimal.Decimal))
 
 
 class TestRowFoldThreads:

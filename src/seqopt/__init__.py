@@ -41,7 +41,6 @@ from .oracle import (
     color_boards_count,
     histogram,
     optimization_set_bruteforce,
-    partial_histogram,
     prefix_min_records,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "ocmax",
     "ocmax_row",
     "optimization_set_bruteforce",
-    "partial_histogram",
     "poly_zeros",
     "prefix_min_records",
     "ratio_report",

@@ -114,6 +114,8 @@ def exp_bound_holds(lhs: Fraction, exponent) -> bool:
     the precision doubles until one does.  lhs is only cross-multiplied,
     never divided or reduced.
     """
+    if lhs <= MARGIN:
+        return True  # e**exponent > 0, so no enclosure is needed
     x = Fraction(exponent)
     num, den = lhs.numerator, lhs.denominator
     bits = _START_BITS

@@ -4,13 +4,13 @@ Everything here counts from the defining enumeration: every k-tuple of
 permutations of 1..n, each column's optimization set (its left-to-right
 minima), the mask applied row by row, and a histogram of the
 selected-row totals.  A row is selected by how many columns have a
-record there, so a tuple matters only through its columns' record-flag
-vectors.  The n! permutations are therefore enumerated once and grouped
-by flag vector (at most 2**(n - 1) of them), and the k columns are
-combined over those groups, each combination weighted by the product of
-its counts.  Every count comes from that enumeration, never from a
-closed form, so the oracle stays independent of the recurrence it is
-played against.
+record there, so a tuple matters only through its level vector, the
+per-row record counts over its k columns.  The n! permutations are
+therefore enumerated once and grouped by record-flag vector (at most
+2**(n - 1) of them), and the k columns are folded into level vectors one
+at a time, each combination weighted by the product of its counts.
+Every count comes from that enumeration, never from a closed form, so
+the oracle stays independent of the recurrence it is played against.
 
 ``optimization_set_bruteforce`` goes one level deeper and finds a
 minimum-cardinality covering subset by raw subset search, which pins
@@ -37,7 +37,6 @@ __all__ = [
     "color_boards_count",
     "histogram",
     "optimization_set_bruteforce",
-    "partial_histogram",
     "prefix_min_records",
 ]
 
@@ -46,36 +45,41 @@ class BudgetError(ValueError):
     """The requested enumeration needs more permutation tuples than allowed."""
 
 
+def _record_flags(perm) -> tuple[int, ...]:
+    # 1 at each position whose value undercuts everything before it.
+    flags = []
+    best = None
+    for v in perm:
+        hit = best is None or v < best
+        flags.append(1 if hit else 0)
+        if hit:
+            best = v
+    return tuple(flags)
+
+
 def prefix_min_records(perm) -> set[int]:
     """1-based positions whose value undercuts everything before them.
 
     Position 1 always qualifies.  Callers supply a permutation of 1..n;
     distinct values are assumed (ties cannot occur in a permutation).
     """
-    records: set[int] = set()
-    best = None
-    for i, v in enumerate(perm, start=1):
-        if best is None or v < best:
-            records.add(i)
-            best = v
-    return records
+    return {i for i, hit in enumerate(_record_flags(perm), start=1) if hit}
 
 
-def optimization_set_bruteforce(points, relations=(operator.le, operator.lt)) -> set:
+def optimization_set_bruteforce(points) -> set:
     """Smallest subset A of 2-d points covering every point.
 
-    a covers u when a == u or relations[0](a[0], u[0]) and
-    relations[1](a[1], u[1]) both hold.  Subsets are tried in increasing
-    size, so the first hit is a minimum-cardinality covering set.  The
-    search is exponential and therefore capped at 12 points.
+    a covers u when a == u or a[0] <= u[0] and a[1] < u[1].  Subsets are
+    tried in increasing size, so the first hit is a minimum-cardinality
+    covering set.  The search is exponential and therefore capped at 12
+    points.
     """
     pts = [tuple(p) for p in points]
     if len(pts) > 12:
         raise ValueError(f"exhaustive subset search is capped at 12 points, got {len(pts)}")
-    rel0, rel1 = relations
 
     def covered(a, u):
-        return a == u or (rel0(a[0], u[0]) and rel1(a[1], u[1]))
+        return a == u or (a[0] <= u[0] and a[1] < u[1])
 
     for size in range(len(pts) + 1):
         for cand in combinations(pts, size):
@@ -99,17 +103,6 @@ class Histogram(NamedTuple):
         return sum(self.counts.values())
 
 
-def _record_flags(perm) -> tuple[int, ...]:
-    flags = []
-    best = None
-    for v in perm:
-        hit = best is None or v < best
-        flags.append(1 if hit else 0)
-        if hit:
-            best = v
-    return tuple(flags)
-
-
 @lru_cache(maxsize=None)
 def _flag_counts(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     # Every permutation of 1..n enumerated once, grouped by record-flag
@@ -130,40 +123,13 @@ def _level_counts(n: int, columns: int) -> tuple[tuple[tuple[int, ...], int], ..
     return tuple(levels.items())
 
 
-def _unrank(n: int, index: int) -> tuple[int, ...]:
-    """Permutation of 1..n at ``index`` in lexicographic order.
-
-    The digits of ``index`` in the factorial number system are its Lehmer
-    code: digit i picks the next entry among those still unused.
-    """
-    pool = list(range(1, n + 1))
-    perm = []
-    for left in range(n - 1, -1, -1):
-        digit, index = divmod(index, factorial(left))
-        perm.append(pool.pop(digit))
-    return tuple(perm)
-
-
-def _histogram_counts(mask: Mask, n: int, first_flags) -> Counter:
-    # ``first_flags`` pairs each first-column flag vector with the number of
-    # first-column permutations that have it; the other k - 1 columns run
-    # over every permutation.  A row is selected by its level alone, so each
-    # (first vector, level vector) pair stands for count * ways tuples.
-    bits = mask.bits
-    counts: Counter = Counter()
-    rest = _level_counts(n, mask.k - 1)
-    for flags, count in first_flags:
-        for level, ways in rest:
-            counts[sum(bits[f + l] for f, l in zip(flags, level))] += count * ways
-    return counts
-
-
 def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
     """Exhaustive histogram of selected-row totals over all (n!)**k tuples.
 
-    The tuples are counted through their columns' record-flag vectors
-    (see the module docstring): n! permutations are enumerated, and
-    at most 2**((n - 1) * k) vector combinations are weighed.  The budget
+    The tuples are counted through their level vectors (see the module
+    docstring): n! permutations are enumerated, the k columns are folded
+    one at a time against at most 2**(n - 1) flag vectors, and each level
+    vector adds its tuple count at its selected-row total.  The budget
     still counts the (n!)**k tuples covered, and the call refuses when
     that count would exceed it.
     """
@@ -173,29 +139,11 @@ def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
     if total > budget:
         raise BudgetError(
             f"enumeration needs {total} permutation tuples, over the budget of {budget}")
-    counts = _histogram_counts(mask, n, _flag_counts(n))
+    bits = mask.bits
+    counts: Counter = Counter()
+    for level, ways in _level_counts(n, mask.k):
+        counts[sum(bits[l] for l in level)] += ways
     return Histogram(mask, n, dict(sorted(counts.items())))
-
-
-def partial_histogram(mask: Mask, n: int, first_index: int,
-                      budget: int = DEFAULT_BUDGET) -> Counter:
-    """Counts over tuples whose first column is one fixed permutation.
-
-    ``first_index`` addresses the lexicographic permutation order.  The
-    partials over all n! indices add up to ``histogram(...).counts``;
-    that partition-and-merge contract is what parallel runs rely on.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    nfact = factorial(n)
-    if not 0 <= first_index < nfact:
-        raise ValueError(f"first_index {first_index} outside 0..{nfact - 1}")
-    slice_total = nfact ** (mask.k - 1)
-    if slice_total > budget:
-        raise BudgetError(
-            f"one partition still needs {slice_total} permutation tuples, "
-            f"over the budget of {budget}")
-    return _histogram_counts(mask, n, ((_record_flags(_unrank(n, first_index)), 1),))
 
 
 def color_boards_count(heights, mask: Mask) -> int:

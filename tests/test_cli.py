@@ -265,6 +265,16 @@ class TestVerifyCommand:
         assert "warning" in out
         assert re.search(r"(PASS|SKIP)\s+oracle", out)
 
+    def test_oracle_budget_allowing_no_row_skips(self):
+        results = cli.run_verification(Mask.from_string("011"), 4, use_oracle=True, budget=0)
+        assert results[-1] == (
+            "oracle", "SKIP", "warning: budget 0 allows no row (n=1 already needs 1 tuples)")
+
+    def test_oracle_names_the_first_disagreeing_row(self, monkeypatch):
+        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting_factory)
+        results = cli.run_verification(Mask.from_string("011"), 4, use_oracle=True)
+        assert results[-1] == ("oracle", "FAIL", "exhaustive histogram disagrees at n=4")
+
     def test_non_stirling_mask_has_no_reference_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--mask", "10", "--n", "6")
         assert code == 0

@@ -158,6 +158,15 @@ class TestExpBoundHolds:
         assert bounds.exp_bound_holds(1 + bounds.MARGIN, 0)
         assert not bounds.exp_bound_holds(1 + bounds.MARGIN + Fraction(1, 10**400), 0)
 
+    def test_lhs_within_the_margin_holds_without_an_enclosure(self, monkeypatch):
+        # e**x > 0, so lhs <= MARGIN holds for any x; a tail mass of 0 at a
+        # huge m1 must not enclose e**-m1.
+        def refuse(x, bits):
+            raise AssertionError(f"enclosed e**{x} at {bits} bits")
+        monkeypatch.setattr(bounds, "_exp_bounds", refuse)
+        assert bounds.exp_bound_holds(Fraction(0), -10**9)
+        assert bounds.exp_bound_holds(bounds.MARGIN, 5)
+
     def test_raises_past_the_cap(self, monkeypatch):
         with mpmath.workdps(80):
             edge = mp_fraction(mpmath.e + mpmath.mpf(10) ** -12)

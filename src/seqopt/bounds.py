@@ -20,12 +20,15 @@ at position t is A_t / B_t with
 The cofactors P_t and Q_t stay a few thousand bits long at n = 300,
 while a**(t-1) and b**(t-1) reach a hundred thousand bits or more: lam's
 numerator and denominator are themselves hundreds of bits long.
-``ocmax_cofactors`` yields (P_t, Q_t) and ``ocmax_terms`` adds the
-running powers, yielding the four factors and never their products.  A
-dominance test of A_t >= v * B_t can then decide most entries from the
-factors' bit lengths alone (``cli._covers``); ``ocmax_row`` is the
-``Fraction`` view, and the CLI renders the row from the cofactors and lam
-without forming a Fraction.
+``ocmax_cofactors`` yields (P_t, Q_t) from the tables G_s and (s!)**k of
+``ocmax_tables``, which one command builds once for its largest row.
+``ocmax_covers`` decides A_t >= v * B_t without the powers for most
+entries: with e = max(bits(x) - 64, 0) and T = x >> e, the 64-bit powers
+T**s and (T+1)**s bound bits(x**s) from below and above, exactly when
+e = 0, and a sum of bit lengths with a slack of 2 settles the
+comparison; only an entry that test leaves open forms a**(t-1) and
+b**(t-1).  ``ocmax_row`` is the ``Fraction`` view, and the CLI renders
+the row from the cofactors and lam without forming a Fraction.
 
 ``upper_ratio`` puts the row total over one integer denominator, where
 it is the polynomial sum of cs[u] * a**u * b**(n-1-u) over u = 0..n-1.
@@ -67,8 +70,9 @@ __all__ = [
     "mirrored_tail",
     "ocmax",
     "ocmax_cofactors",
+    "ocmax_covers",
     "ocmax_row",
-    "ocmax_terms",
+    "ocmax_tables",
     "ratio_report",
     "tail_probability",
     "tail_threshold",
@@ -202,59 +206,78 @@ def ocmax(mask: Mask, n: int, m: int) -> Fraction:
     return Fraction(factorial(n - 1) ** mask.k, factorial(t - 1)) * lam ** (t - 1) * tail
 
 
-def _comp_products(mask: Mask, n: int) -> list[int]:
-    """G_s = prod_{j=2..s+1} g_weight(j, ~mask) for s = 0..n-1.
+def ocmax_tables(mask: Mask, n: int) -> tuple[list[int], list[int]]:
+    """(G, F) for s = 0..n-1: G[s] = prod_{j=2..s+1} g_weight(j, ~mask), F[s] = (s!)**k.
 
     G_s is (s!)**k times the product of f_weight(j, ~mask) over the same j.
+    Row n's tables are the first n items of any longer row's, so one pair
+    built at the largest n serves every smaller row.
     """
-    comp = mask.complement()
-    su = [1] * n
+    comp, k = mask.complement(), mask.k
+    su, fk = [1] * n, [1] * n
     for s in range(1, n):
         su[s] = su[s - 1] * g_weight(s + 1, comp)
-    return su
+        fk[s] = fk[s - 1] * s**k
+    return su, fk
 
 
-def ocmax_cofactors(mask: Mask, n: int):
+def ocmax_cofactors(mask: Mask, n: int, tables=None):
     """Yield row n's power-free parts (P_t, Q_t), t = 1..n.
 
     P_t = ((n-1)!)**k * G_{n-t} and Q_t = (t-1)! * ((n-t)!)**k, so that
     ocmax at support position t is lam**(t-1) * P_t / Q_t with lam =
-    h_dot(n, mask); see the module docstring.
+    h_dot(n, mask); see the module docstring.  tables is
+    ocmax_tables(mask, N) for some N >= n, built here when omitted.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k = mask.k
-    su = _comp_products(mask, n)
-    fk = [1] * n  # fk[s] = (s!)**k
-    for s in range(1, n):
-        fk[s] = fk[s - 1] * s**k
+    su, fk = tables or ocmax_tables(mask, n)
     fact = 1  # (t-1)!
     for t in range(1, n + 1):
         yield fk[n - 1] * su[n - t], fact * fk[n - t]
         fact *= t
 
 
-def ocmax_terms(mask: Mask, n: int, lam: Fraction):
-    """Yield row n's upper bounds as factors (a**(t-1), P_t, b**(t-1), Q_t), t = 1..n.
+def _power_bits(x: int, upper: bool):
+    """Yield a bound on bit_length(x**s) for s = 0, 1, ...: the lower one, or the upper if upper.
 
-    With lam = a/b == h_dot(n, mask), the bound at support position t is
-    a**(t-1) * P_t / (b**(t-1) * Q_t).  Neither product is formed and no
-    gcd is taken, so a caller that compares the bound with an integer v
-    can decide from the factors' sizes first.
+    With e = max(bits(x) - 64, 0) and T = x >> e, T**s * 2**(s*e) <= x**s
+    < (T+1)**s * 2**(s*e), so bits(T**s) + s*e <= bits(x**s) <=
+    bits((T+1)**s) + s*e.  Only the powers of the 64-bit T or T+1 are
+    formed; when e = 0, T = x and both bounds are exact.
+    """
+    e = max(x.bit_length() - 64, 0)
+    t = (x >> e) + (upper and e > 0)
+    t_pow, shift = 1, 0  # T**s, s*e
+    while True:
+        yield t_pow.bit_length() + shift
+        t_pow *= t
+        shift += e
+
+
+def ocmax_covers(lam: Fraction, cofactors, values):
+    """Yield a**s * p >= v * b**s * q for the s-th pair (p, q) of cofactors and v of values.
+
+    lam = a/b >= 0; p, v >= 0 and q >= 1 are ints.  A nonzero a**s * p is
+    at least 2**(bits(a**s) + bits(p) - 2) and v * b**s * q is below
+    2**(bits(v) + bits(b**s) + bits(q)), so the first exponent reaching the
+    second settles it.  That test takes a lower bound on bits(a**s) and an
+    upper one on bits(b**s) from ``_power_bits``; only an entry it leaves
+    undecided forms a**s and b**s and compares the products.
     """
     a, b = lam.numerator, lam.denominator
-    a_pow = b_pow = 1  # a**(t-1), b**(t-1)
-    for p, q in ocmax_cofactors(mask, n):
-        yield a_pow, p, b_pow, q
-        a_pow *= a
-        b_pow *= b
+    terms = zip(cofactors, values, _power_bits(a, False), _power_bits(b, True))
+    for s, ((p, q), v, a_bits, b_bits) in enumerate(terms):
+        yield ((bool(a_bits and p) and a_bits + p.bit_length() - 2
+                >= v.bit_length() + b_bits + q.bit_length())
+               or a**s * p >= v * (b**s * q))
 
 
 def ocmax_row(mask: Mask, n: int) -> dict[int, Fraction]:
-    """Row n's upper bounds as ``Fraction``s of ocmax_terms; equal to ocmax per entry."""
-    terms = ocmax_terms(mask, n, h_dot(n, mask))
-    return {m: Fraction(a_pow * p, b_pow * q)
-            for m, (a_pow, p, b_pow, q) in zip(mask.support(n), terms)}
+    """Row n's upper bounds as ``Fraction``s of ocmax_cofactors; equal to ocmax per entry."""
+    lam = h_dot(n, mask)
+    return {m: lam**s * Fraction(p, q)
+            for s, (m, (p, q)) in enumerate(zip(mask.support(n), ocmax_cofactors(mask, n)))}
 
 
 def _power_sum(cs: list[int], a: int, b: int, lo: int, hi: int):
@@ -272,19 +295,21 @@ def _power_sum(cs: list[int], a: int, b: int, lo: int, hi: int):
     return s1 * b2 + a1 * s2, a1 * a2, b1 * b2
 
 
-def upper_ratio(mask: Mask, n: int) -> Fraction:
+def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
     """Row total of the upper bounds divided by (n!)**k, exactly.
 
     Same value as sum(ocmax_row(mask, n).values()) / (n!)**k but
     assembled on a single integer common denominator, whose numerator
-    is summed by halving (see the module docstring).
+    is summed by halving (see the module docstring).  lam, if given, must
+    be h_dot(n, mask); it is computed when omitted.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     k = mask.k
-    lam = h_dot(n, mask)
+    if lam is None:
+        lam = h_dot(n, mask)
     a, b = lam.numerator, lam.denominator
-    su = _comp_products(mask, n)
+    su, _ = ocmax_tables(mask, n)
     fact_n1 = factorial(n - 1)
     # cs[t-1] scales term t onto the common denominator (n-1)! * b**(n-1) * (n!)**k
     cs = [0] * n
@@ -414,7 +439,7 @@ class TailCheck(NamedTuple):
 class BoundReport(NamedTuple):
     """One row's bounds: growth exponents, ratio and tails.
 
-    The per-entry caps are ocmax_row(mask, n), or ocmax_terms in integers.
+    The per-entry caps are ocmax_row(mask, n), or ocmax_cofactors and lam in integers.
     """
 
     mask: Mask
@@ -441,8 +466,8 @@ def ratio_report(mask: Mask, n: int, m1_values=()) -> BoundReport:
     comp = mask.complement()
     lam = h_dot(n, mask)
     lam_prime = h_dot(n, comp)
-    ratio = upper_ratio(mask, n)
-    ratio_prime = upper_ratio(comp, n)
+    ratio = upper_ratio(mask, n, lam)
+    ratio_prime = upper_ratio(comp, n, lam_prime)
     tails = []
     for m1 in m1_values:
         if mask.bits[0] == 0:

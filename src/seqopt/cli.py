@@ -19,14 +19,13 @@ the powers of lam's numerator and denominator are kept as running
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, tee
 from math import factorial, gcd, prod
 from operator import itemgetter
 
@@ -143,17 +142,17 @@ def _json_head(mask: numbers.Mask) -> str:
 def _json_row(n: int, cells) -> str:
     # Reproduces json.dumps(indent=2) of {"n": {"m": "value", ...}}: every
     # key and value is a decimal digit string, so nothing needs escaping.
-    body = ",\n".join(f'      "{m}": "{v}"' for m, v in cells)
+    body = ",\n".join(f'      "{m}": "{v!s}"' for m, v in cells)
     row = f"{{\n{body}\n    }}" if body else "{}"
     return f'{"" if n == 1 else ","}\n    "{n}": {row}'
 
 
 def _csv_row(n: int, cells) -> str:
-    return "".join(f"{n},{m},{v}\n" for m, v in cells)
+    return "".join(f"{n},{m},{v!s}\n" for m, v in cells)
 
 
 def _plain_row(n: int, cells) -> str:
-    return f"n={n}  " + "  ".join(f"{m}:{v}" for m, v in cells) + "\n"
+    return f"n={n}  " + "  ".join(f"{m}:{v!s}" for m, v in cells) + "\n"
 
 
 _FORMATS = {
@@ -202,6 +201,8 @@ def render_json(tri: numbers.Triangle) -> str:
 
 
 def parse_json(text: str) -> numbers.Triangle:
+    import json  # only here, so that importing the CLI does not load it
+
     data = json.loads(text)
     mask = numbers.Mask.from_string(data["mask"])
     if data["k"] != mask.k:
@@ -314,18 +315,6 @@ def _write(out, text: str) -> None:
 
 # ------------------------------------------------------------- verification
 
-def _covers(a_pow: int, p: int, b_pow: int, q: int, v: int) -> bool:
-    """a_pow * p >= v * b_pow * q for ints a_pow, p, v >= 0 and b_pow, q >= 1.
-
-    A nonzero A = a_pow * p is at least 2**(bits(a_pow) + bits(p) - 2) and
-    v * b_pow * q is below 2**(bits(v) + bits(b_pow) + bits(q)), so an A
-    that many bits longer covers v without the products.
-    """
-    return (bool(a_pow and p and a_pow.bit_length() + p.bit_length() - 2
-                 >= v.bit_length() + b_pow.bit_length() + q.bit_length())
-            or a_pow * p >= v * (b_pow * q))
-
-
 def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False,
                      budget: int = oracle.DEFAULT_BUDGET,
                      subset_limit: int = numbers.DEFAULT_SUBSET_LIMIT):
@@ -408,14 +397,17 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 
     # ocmax(mask) at support position t bounds the entry at position t; the
     # complement's bound at its position t bounds the entry at n + 1 - t, so
-    # that pass walks the support from the top.  Each bound comes as its
-    # factors, compared with the entry without multiplying them out first.
+    # that pass walks the support from the top.  Each mask's cofactor tables
+    # are built once, for row max_n, and each bound is compared with its
+    # entry from its factors, without multiplying them out first.
+    tables, comp_tables = bounds.ocmax_tables(mask, max_n), bounds.ocmax_tables(comp, max_n)
     dom_ok = True
     for n, lam, lam_c in zip(range(1, max_n + 1), lams, bounds.h_dots(comp, max_n)):
         support = mask.support(n)
-        for ms, vec, h in ((support, mask, lam), (reversed(support), comp, lam_c)):
-            for m, factors in zip(ms, bounds.ocmax_terms(vec, n, h)):
-                dom_ok &= _covers(*factors, tri.value(n, m))
+        for ms, vec, h, tabs in ((support, mask, lam, tables),
+                                 (reversed(support), comp, lam_c, comp_tables)):
+            cofactors = bounds.ocmax_cofactors(vec, n, tabs)
+            dom_ok &= all(bounds.ocmax_covers(h, cofactors, [tri.value(n, m) for m in ms]))
     check("upper-bound-dominance", dom_ok,
           "ocmax covers every entry, complement cross-bound included")
 
@@ -507,13 +499,14 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
     line(f"mask {mask} k {mask.k} n {n}")
     line(f"lambda {_exact_str(report.lam)}")
     line(f"lambda_prime {_exact_str(report.lam_prime)}")
-    # Each bound is checked and printed from its factored form; neither
-    # builds the reduced Fraction.
-    terms = bounds.ocmax_terms(mask, n, report.lam)
-    texts = _power_fraction_strs(report.lam, bounds.ocmax_cofactors(mask, n))
-    for m, factors, text in zip(mask.support(n), terms, texts):
-        v = numbers.value(mask, n, m)
-        good = _covers(*factors, v)
+    # Each bound is checked and printed from its factored form, one pass of
+    # the cofactors feeding both; neither builds the reduced Fraction.
+    support = mask.support(n)
+    values = [numbers.value(mask, n, m) for m in support]
+    to_check, to_render = tee(bounds.ocmax_cofactors(mask, n))
+    verdicts = bounds.ocmax_covers(report.lam, to_check, values)
+    texts = _power_fraction_strs(report.lam, to_render)
+    for m, v, good, text in zip(support, values, verdicts, texts):
         ok &= good
         line(f"m {m} ocmax {text} value {_exact_str(v)} "
              f"dominance {'PASS' if good else 'FAIL'}")

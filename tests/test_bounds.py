@@ -1,8 +1,8 @@
 """Tests for the upper bounds, tail checks and ratio bounds."""
 
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial
+from itertools import islice, product
+from math import comb, factorial, isqrt
 
 import mpmath
 import pytest
@@ -18,7 +18,7 @@ from seqopt.bounds import (
     ocmax,
     ocmax_cofactors,
     ocmax_row,
-    ocmax_terms,
+    ocmax_tables,
     ratio_report,
     tail_probability,
     tail_threshold,
@@ -105,14 +105,17 @@ class TestOcmax:
 
     def test_integer_pairs_equal_the_row(self):
         # ocmax_row is the Fraction view of these factors, so the reference
-        # is the closed form, entry by entry.
+        # is the closed form, entry by entry.  Every row shares the tables
+        # built for the largest one.
         for mask in all_masks(3):
+            tables = ocmax_tables(mask, 15)
             for n in range(1, 16):
                 lam = h_dot(n, mask)
-                got = {}
-                for t, (a_pow, p, b_pow, q) in enumerate(ocmax_terms(mask, n, lam), 1):
-                    assert (a_pow, b_pow) == (lam.numerator ** (t - 1), lam.denominator ** (t - 1))
-                    got[t + mask.offset - 1] = Fraction(a_pow * p, b_pow * q)
+                a, b = lam.numerator, lam.denominator
+                pairs = list(ocmax_cofactors(mask, n, tables))
+                assert pairs == list(ocmax_cofactors(mask, n))
+                got = {s + mask.offset: Fraction(a**s * p, b**s * q)
+                       for s, (p, q) in enumerate(pairs)}
                 assert got == {m: ocmax(mask, n, m) for m in mask.support(n)}
 
     def test_cofactors_are_the_power_free_parts(self):
@@ -126,12 +129,11 @@ class TestOcmax:
             next(ocmax_cofactors(mask, 0))
 
     def test_integer_pairs_are_unreduced(self):
-        # A_1 = ((n-1)!)**k * G_{n-1} and B_1 = ((n-1)!)**k: no gcd was taken.
+        # P_1 = ((n-1)!)**k * G_{n-1} and Q_1 = ((n-1)!)**k: no gcd was taken.
         mask = Mask.from_string("011")
-        a_pow, p, b_pow, q = next(ocmax_terms(mask, 5, h_dot(5, mask)))
-        assert (a_pow, b_pow) == (1, 1)
-        assert b_pow * q == factorial(4) ** 2
-        assert a_pow * p == b_pow * q * value(mask, 5, mask.offset)
+        p, q = next(ocmax_cofactors(mask, 5))
+        assert q == factorial(4) ** 2
+        assert p == q * value(mask, 5, mask.offset)
 
     def test_cross_dominance_through_complement(self):
         for mask in all_masks(2):
@@ -139,6 +141,35 @@ class TestOcmax:
             for n in range(1, 9):
                 for m in mask.support(n):
                     assert value(mask, n, m) <= ocmax(comp, n, n - m)
+
+
+class TestPowerBits:
+    """_power_bits bounds bit_length(x**s) through powers of the top 64 bits of x."""
+
+    @staticmethod
+    def bounds_to(x, s_max):
+        return zip(range(s_max + 1), bounds._power_bits(x, False), bounds._power_bits(x, True))
+
+    @given(st.integers(2**64, 2**400))
+    def test_bounds_enclose_the_bit_length(self, x):
+        for s, lo, hi in self.bounds_to(x, 60):
+            assert lo <= (x**s).bit_length() <= hi, s
+
+    @given(st.integers(0, 2**64 - 1))
+    @example(0)
+    @example(1)
+    def test_exact_within_64_bits(self, x):
+        for s, lo, hi in self.bounds_to(x, 60):
+            assert lo == hi == (x**s).bit_length(), s
+
+    def test_upper_bound_takes_t_plus_one(self):
+        # T = isqrt(2**127) has 64 bits and T**2 < 2**127 < (T+1)**2; with
+        # e = 10 low bits all ones, x**2 reaches 2**147, so only (T+1)**2
+        # bounds its 148 bits from above.
+        x = isqrt(2**127) << 10 | 2**10 - 1
+        assert x.bit_length() == 74
+        lo, hi = (next(islice(bounds._power_bits(x, up), 2, None)) for up in (False, True))
+        assert (lo, (x * x).bit_length(), hi) == (147, 148, 148)
 
 
 class TestTailThreshold:

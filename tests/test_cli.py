@@ -11,7 +11,7 @@ import sys
 import threading
 from fractions import Fraction
 from itertools import product
-from math import floor, log10
+from math import floor, isqrt, log10
 from pathlib import Path
 
 import pytest
@@ -377,35 +377,75 @@ def near_pow2(lo, hi):
     return st.integers(lo, hi).flatmap(lambda j: st.sampled_from([2**j - 1, 2**j, 2**j + 1]))
 
 
+def covers(a, b, p, q, v, s_max):
+    """bounds.ocmax_covers for lam = a/b with the pair (p, q) and v at every s <= s_max."""
+    return list(bounds.ocmax_covers(Fraction(a, b), [(p, q)] * (s_max + 1), [v] * (s_max + 1)))
+
+
+def products(a, b, p, q, v, s_max):
+    """The comparisons ocmax_covers decides, a**s * p >= v * b**s * q for s <= s_max."""
+    return [a**s * p >= v * b**s * q for s in range(s_max + 1)]
+
+
 class TestCovers:
-    """_covers decides a_pow * p >= v * b_pow * q, mostly from bit lengths alone."""
+    """ocmax_covers decides a**s * p >= v * b**s * q, mostly from bit-length bounds alone.
+
+    lam = a/b is reduced by the Fraction, which divides both sides by the
+    same power of the gcd, so the unreduced products are the reference.
+    """
 
     @given(near_pow2(0, 80), near_pow2(0, 80), near_pow2(1, 80), near_pow2(1, 80),
-           near_pow2(0, 80))
-    @example(0, 2**60, 1, 1, 1)
-    @example(2**60, 0, 1, 1, 1)
-    @example(0, 0, 1, 1, 0)
-    def test_equals_the_product_comparison(self, a_pow, p, b_pow, q, v):
-        assert cli._covers(a_pow, p, b_pow, q, v) == (a_pow * p >= v * b_pow * q)
+           near_pow2(0, 80), st.integers(0, 4))
+    @example(0, 2**60, 1, 1, 1, 2)
+    @example(2**60, 0, 1, 1, 1, 2)
+    @example(0, 0, 1, 1, 0, 2)
+    def test_equals_the_product_comparison(self, a, p, b, q, v, s_max):
+        assert covers(a, b, p, q, v, s_max) == products(a, b, p, q, v, s_max)
 
-    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 60), st.integers(1, 60),
-           st.integers(-4, 4), st.lists(st.integers(-1, 1), min_size=5, max_size=5))
-    def test_equals_the_product_comparison_near_equal_lengths(self, ja, jp, jb, jv, d, nudge):
-        # q's bit length is chosen so that the bit lengths land on either
-        # side of the threshold where the bit test gives way to the products.
-        jq = max(1, ja + jp - jb - jv + d)
-        a_pow, p, b_pow, q, v = (2**j + e for j, e in zip((ja, jp, jb, jq, jv), nudge))
-        assert cli._covers(a_pow, p, b_pow, q, v) == (a_pow * p >= v * b_pow * q)
+    @given(st.integers(1, 90), st.integers(1, 60), st.integers(1, 90), st.integers(1, 60),
+           st.integers(1, 4), st.integers(-4, 4),
+           st.lists(st.integers(-1, 1), min_size=5, max_size=5))
+    def test_equals_the_product_comparison_near_equal_lengths(self, ja, jp, jb, jv, s, d,
+                                                              nudge):
+        # q's bit length is chosen so that the bit lengths at index s land on
+        # either side of the threshold where the bit test gives way to the
+        # products; a and b run past 64 bits, where their bounds are inexact.
+        jq = max(1, s * ja + jp - s * jb - jv + d)
+        a, p, b, q, v = (2**j + e for j, e in zip((ja, jp, jb, jq, jv), nudge))
+        assert covers(a, b, p, q, v, s) == products(a, b, p, q, v, s)
 
     def test_smallest_a_against_largest_v_b_fails(self):
-        # A = 2**20 with la = 22; v * B = 127**3 > A with lb = 21.  A PASS
-        # slack of la - 1 >= lb or la >= lb would pass it.
-        assert cli._covers(2**10, 2**10, 2**7 - 1, 2**7 - 1, 2**7 - 1) is False
+        # At s = 1, A = 2**20 with bits 11 + 11 = 22; v * B = 127**3 > A with
+        # bits 21.  A PASS slack of 1 bit, la - 1 >= lb, would pass it.
+        assert covers(2**10, 127, 2**10, 127, 127, 1) == [False, False]
+
+    def test_upper_bound_of_b_is_needed(self):
+        # b = T * 2**10 + 1023 with T = isqrt(2**127): b**2 has 148 bits, one
+        # more than the lower bound from T**2.  With A = 2**547 and v, q
+        # just under 2**200, v * b**2 * q exceeds A, and only b's upper bound
+        # keeps the bit test from passing it.
+        b = isqrt(2**127) << 10 | 2**10 - 1
+        a, p, q = 2, 2**545, 2**200 - 1
+        assert a**2 * p < q * b**2 * q
+        assert covers(a, b, p, q, q, 2) == products(a, b, p, q, q, 2) == [True, True, False]
+
+    def test_lower_bound_of_a_is_needed(self):
+        # T**5 < 2**318 <= (T+1)**5 for this 64-bit T, so with a = T * 2**8
+        # a**5 has 358 bits, one less than the upper bound from (T+1)**5.
+        # b's top 64 bits are 2**64 - 2, so b**5 is short of 2**360 by
+        # about 5 * 2**-64 of it, while a**5 is short of 2**358 by more:
+        # v * b**5 * q then exceeds A = a**5 * 2**602 with 960 bits on
+        # either side, and only a's lower bound keeps the bit test from
+        # passing it.
+        t = 13980017795349537628
+        assert t.bit_length() == 64 and t**5 < 2**318 <= (t + 1) ** 5
+        a, b, p, q = t << 8, (2**64 - 2) << 8 | 2**8 - 1, 2**602, 2**300 - 1
+        assert covers(a, b, p, q, q, 5) == products(a, b, p, q, q, 5) == [True] * 5 + [False]
 
     def test_zero_factors(self):
-        assert cli._covers(0, 2**100, 1, 1, 1) is False
-        assert cli._covers(2**100, 0, 1, 1, 1) is False
-        assert cli._covers(0, 0, 2**100, 2**100, 0) is True
+        assert covers(0, 1, 2**100, 1, 1, 1) == [True, False]
+        assert covers(2**100, 1, 0, 1, 1, 1) == [False, False]
+        assert covers(0, 2**100, 0, 2**100, 0, 1) == [True, True]
 
 
 class TestDominanceCheck:
@@ -415,9 +455,8 @@ class TestDominanceCheck:
     at the top, so one more there must fail the check.
     """
 
-    @pytest.mark.parametrize("row", [3, 6])
-    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
-    def test_plus_one_at_either_end_fails(self, monkeypatch, mask, row):
+    @staticmethod
+    def plus_one_at_either_end(monkeypatch, mask, row, max_n):
         for m in (mask.offset, row - 1 + mask.offset):
             def factory(mask, max_n, m=m):
                 tri = triangle(mask, max_n)
@@ -425,8 +464,21 @@ class TestDominanceCheck:
                 return tri
 
             monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
-            results = cli.run_verification(mask, 6)
+            results = cli.run_verification(mask, max_n)
             assert check_status(results, "upper-bound-dominance") == "FAIL", m
+
+    @pytest.mark.parametrize("row", [3, 6])
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_plus_one_at_either_end_fails(self, monkeypatch, mask, row):
+        self.plus_one_at_either_end(monkeypatch, mask, row, 6)
+
+    def test_plus_one_at_either_end_fails_past_64_bits(self, monkeypatch):
+        # At row 60 of mask 01, lam's numerator and denominator both exceed
+        # 64 bits, so the bit-length bounds of their powers are inexact.
+        mask = Mask.stirling()
+        lam = bounds.h_dot(60, mask)
+        assert min(lam.numerator, lam.denominator).bit_length() > 64
+        self.plus_one_at_either_end(monkeypatch, mask, 60, 60)
 
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
     def test_clean_triangle_passes_every_check(self, mask):

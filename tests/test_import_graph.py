@@ -39,7 +39,7 @@ def python(*args):
 def test_cli_import_loads_neither_mpmath_nor_dataclasses():
     # -S skips site, so that no site hook's imports are counted against the package.
     proc = python("-S", "-c", "import sys, seqopt.cli; "
-                  "print(sorted({'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))")
+                  "print(sorted({'mpmath', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

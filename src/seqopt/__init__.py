@@ -11,7 +11,6 @@ from .bounds import (
     TailCheck,
     exp_bound_holds,
     h_dot,
-    h_vector,
     mirrored_tail,
     ocmax,
     ocmax_row,
@@ -62,7 +61,6 @@ __all__ = [
     "falling_poly",
     "g_weight",
     "h_dot",
-    "h_vector",
     "histogram",
     "mirrored_tail",
     "ocmax",

@@ -66,7 +66,6 @@ __all__ = [
     "exp_bound_holds",
     "h_dot",
     "h_dots",
-    "h_vector",
     "mirrored_tail",
     "ocmax",
     "ocmax_cofactors",
@@ -141,8 +140,6 @@ def _harmonic_sums(k: int, max_n: int):
     """Yield [sum_{j=1..n-1} 1/j**p for p = 0..k] for n = 1..max_n, as running sums."""
     if max_n < 1:
         raise ValueError(f"n must be >= 1, got {max_n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     sums = [Fraction(0)] * (k + 1)
     for n in range(1, max_n + 1):
         yield sums
@@ -160,14 +157,6 @@ def _dot(sums: list[Fraction], mask: Mask) -> Fraction:
     """h_dot from one row of running sums: sum of comb(k, p) * sums[p] over the mask's bits."""
     k = mask.k
     return sum((comb(k, p) * s for p, s in enumerate(sums) if mask.bits[p]), Fraction(0))
-
-
-def h_vector(n: int, k: int) -> tuple[Fraction, ...]:
-    """Partial harmonic power sums h_p = comb(k, p) * sum_{j=1..n-1} 1/j**p.
-
-    Exact, for p = 0..k; h_0 is always n - 1.
-    """
-    return tuple(comb(k, p) * s for p, s in enumerate(_last(_harmonic_sums(k, n))))
 
 
 def h_dots(mask: Mask, max_n: int):

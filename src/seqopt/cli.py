@@ -2,14 +2,17 @@
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 3 I/O error.  Identical invocations produce byte-identical output.
-``triangle`` streams its rows to the output as they are computed, and
-``stirling`` diffs its rows against the reference one pair at a time; ``--out``
-is written through a temporary file in the target's directory that replaces
-the target only once the command has finished.  Exact integers and
-rationals that a command computes are rendered through ``_exact_str``: a
-divide-and-conquer conversion to ``decimal.Decimal``, whose string takes
-linear time where ``str(int)`` before Python 3.12 takes time quadratic in
-the digit count.  ``bounds``' ocmax row, tens of thousands of digits per
+``triangle`` streams its rows to the output as they are computed,
+``stirling`` diffs its rows against the reference one pair at a time, and
+``verify`` updates every per-row check from row n of the mask and of its
+complement, holding that pair and the cofactor tables built for row
+``--n`` (about 19 MiB at ``--n 600``, where two whole triangles took 130
+MiB).  ``--out`` is written through a temporary file in the target's
+directory that replaces the target only once the command has finished.
+Exact integers and rationals that a command computes are rendered through
+``_exact_str``: a divide-and-conquer conversion to ``decimal.Decimal``,
+whose string takes linear time where ``str(int)`` before Python 3.12 takes
+time quadratic in the digit count.  ``bounds``' ocmax row, tens of thousands of digits per
 entry, is rendered from its factored form by ``_power_fraction_strs``:
 the powers of lam's numerator and denominator are kept as running
 ``Decimal`` products and reduced by gcds of small integers, so no huge
@@ -26,7 +29,7 @@ from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, groupby, tee
-from math import factorial, gcd, prod
+from math import gcd, prod
 from operator import itemgetter
 
 from . import bounds, numbers, oracle
@@ -36,8 +39,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Test hook: ``verify`` builds its triangle through this factory; ``stirling``
-# and ``triangle`` stream numbers._unsigned_rows, the latter in Decimal.
+# Test hook.  Left as numbers.triangle, ``verify`` streams numbers._unsigned_rows
+# and holds one row pair plus the cofactor tables for row --n (130 -> about 19
+# MiB at n = 600); a replacement factory(mask, max_n) returns a Triangle whose
+# rows[n] verify reads once each, in increasing n.  ``stirling`` and
+# ``triangle`` stream numbers._unsigned_rows too, the latter in Decimal.
 _TRIANGLE_FACTORY = numbers.triangle
 
 __all__ = [
@@ -320,63 +326,12 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
                      subset_limit: int = numbers.DEFAULT_SUBSET_LIMIT):
     """Run every identity the package promises; returns (name, status, detail) rows."""
     comp = mask.complement()
-    k = mask.k
-    tri = _TRIANGLE_FACTORY(mask, max_n)
-    comp_tri = numbers.triangle(comp, max_n)
-    results: list[tuple[str, str, str]] = []
-
-    def check(name, ok, detail=""):
-        results.append((name, "PASS" if ok else "FAIL", detail))
-
-    check("row-sums",
-          all(sum(tri.row(n).values()) == factorial(n) ** k for n in range(1, max_n + 1)),
-          f"each row n <= {max_n} sums to (n!)^{k}")
-
-    check("complement-symmetry",
-          all(tri.value(n, m) == comp_tri.value(n, n - m)
-              for n in range(1, max_n + 1)
-              for m in range(mask.offset - 1, n + mask.offset + 1)),
-          "value(mask,n,m) == value(~mask,n,n-m)")
-
-    check("support",
-          all(min(tri.rows[n]) >= mask.offset and max(tri.rows[n]) <= n - 1 + mask.offset
-              and all(v > 0 for v in tri.rows[n].values())
-              for n in range(1, max_n + 1)),
-          f"entries confined to [{mask.offset}, n-1+{mask.offset}], all positive")
-
-    n_cap = min(max_n, subset_limit)
-    check("explicit-sum",
-          all(numbers.explicit_row(mask, n, subset_limit) == tri.row(n)
-              for n in range(1, n_cap + 1)),
-          f"subset expansion matches the recurrence for n <= {n_cap}")
-
-    # Row n's roots are the first n of row max_n's: one list per kind.  Row
-    # n must be r * (x - p/q) times row n - 1, which was checked before it
-    # (row 0 is the constant 1): q * row n == r * (q*x - p) * row n - 1,
-    # with r = g_weight(n, mask), and r = 1 for row 1's factor x.  A slot of
-    # None marks a factor with g_weight(n, mask) == 0: it is the constant
-    # r = sign * g_weight(n, ~mask) and has no root.  By induction, row n is
-    # then the product of its r's times prod(x - z) over its first n roots:
-    # degree, leading coefficient and roots fix the polynomial.
-    all_zeros = {kind: numbers.poly_zeros(mask, max_n, kind) for kind in ("rising", "falling")}
-    prev = {"rising": [1], "falling": [1]}
-    poly_ok = True
-    for n in range(1, max_n + 1):
-        # Row n as the coefficients of x**0..x**n, and the falling product's
-        # coefficients by the sign rule (-1)**(n+u).
-        rising = [tri.value(n, u + mask.offset - 1) for u in range(n + 1)]
-        falling = [-c if (n + u) % 2 else c for u, c in enumerate(rising)]
-        for kind, sign, coeffs in (("rising", 1, rising), ("falling", -1, falling)):
-            z = all_zeros[kind][n - 1]
-            # s * row n == r * (hi*x + lo) * row n - 1; a None slot's factor is 1.
-            s, hi, lo = (1, 0, 1) if z is None else (z.denominator, z.denominator, -z.numerator)
-            r = (1 if n == 1 else numbers.g_weight(n, mask) if z is not None
-                 else sign * numbers.g_weight(n, comp))
-            low = prev[kind]
-            poly_ok &= all(s * c == r * (hi * a + lo * b)
-                           for c, a, b in zip(coeffs, [0, *low], [*low, 0]))
-            prev[kind] = coeffs
-    check("polynomials", poly_ok, "coefficients, sign rule, exact zeros")
+    k, off = mask.k, mask.offset
+    if _TRIANGLE_FACTORY is numbers.triangle:
+        rows = (numbers.row_entries(mask, urow) for urow in numbers._unsigned_rows(mask, max_n))
+    else:
+        tri = _TRIANGLE_FACTORY(mask, max_n)
+        rows = (tri.rows[n] for n in range(1, max_n + 1))
 
     js = range(2, max_n + 2)
     seq = [numbers.f_weight(j, mask) for j in js]
@@ -388,26 +343,94 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
                       for j in js)
     if mask.bits[0] == 1:
         weights_ok &= all(w >= 1 for w in seq)
-    check("weights", weights_ok, "monotone in j, bounded product, complement sums")
 
-    # lams[n - 1] = h_dot(n, mask), against the partial sums of seq up to j = n.
-    lams = list(bounds.h_dots(mask, max_n))
-    check("harmonic-dot", lams == list(accumulate(seq[:-1], initial=Fraction(0))),
-          "h_dot equals the f_weight partial sums")
-
-    # ocmax(mask) at support position t bounds the entry at position t; the
-    # complement's bound at its position t bounds the entry at n + 1 - t, so
-    # that pass walks the support from the top.  Each mask's cofactor tables
-    # are built once, for row max_n, and each bound is compared with its
-    # entry from its factors, without multiplying them out first.
+    n_cap = min(max_n, subset_limit)
+    # Row n's roots are the first n of row max_n's: one list per kind.  Row
+    # n must be r * (x - p/q) times row n - 1, which was checked before it
+    # (row 0 is the constant 1): q * row n == r * (q*x - p) * row n - 1,
+    # with r = g_weight(n, mask), and r = 1 for row 1's factor x.  A slot of
+    # None marks a factor with g_weight(n, mask) == 0: it is the constant
+    # r = sign * g_weight(n, ~mask) and has no root.  By induction, row n is
+    # then the product of its r's times prod(x - z) over its first n roots:
+    # degree, leading coefficient and roots fix the polynomial.
+    all_zeros = {kind: numbers.poly_zeros(mask, max_n, kind) for kind in ("rising", "falling")}
+    prev = {"rising": [1], "falling": [1]}
+    # Each mask's cofactor tables are built once, for row max_n.
     tables, comp_tables = bounds.ocmax_tables(mask, max_n), bounds.ocmax_tables(comp, max_n)
-    dom_ok = True
-    for n, lam, lam_c in zip(range(1, max_n + 1), lams, bounds.h_dots(comp, max_n)):
+    ref = numbers._stirling_rows(max_n) if mask.bits == (0, 1) else None
+    sums_ok = sym_ok = support_ok = explicit_ok = poly_ok = dot_ok = dom_ok = ref_ok = True
+    total = 1  # (n!)**k
+    # The oracle stops at its first disagreement or at the first row over
+    # the budget: histogram refuses such a row, and (n!)**k only grows with n.
+    matched = over = differs = None
+    inputs = zip(rows, numbers._unsigned_rows(comp, max_n), bounds.h_dots(mask, max_n),
+                 bounds.h_dots(comp, max_n), accumulate(seq[:-1], initial=Fraction(0)))
+    for n, (row, crow, lam, lam_c, f_sum) in enumerate(inputs, 1):
+        total *= n ** k
+        sums_ok &= sum(row.values()) == total
+        # Slot u of (*crow, 0) is value(~mask, n, n - m) for m = n + offset - u.
+        sym_ok &= all(row.get(n + off - u, 0) == c for u, c in enumerate((*crow, 0)))
+        support_ok &= (min(row) >= off and max(row) <= n - 1 + off
+                       and all(v > 0 for v in row.values()))
+        if n <= n_cap:
+            explicit_ok &= numbers.explicit_row(mask, n, subset_limit) == row
+
+        # Row n as the coefficients of x**0..x**n, and the falling product's
+        # coefficients by the sign rule (-1)**(n+u).
+        rising = [row.get(u + off - 1, 0) for u in range(n + 1)]
+        falling = [-c if (n + u) % 2 else c for u, c in enumerate(rising)]
+        for kind, sign, coeffs in (("rising", 1, rising), ("falling", -1, falling)):
+            z = all_zeros[kind][n - 1]
+            # s * row n == r * (hi*x + lo) * row n - 1; a None slot's factor is 1.
+            s, hi, lo = (1, 0, 1) if z is None else (z.denominator, z.denominator, -z.numerator)
+            r = (1 if n == 1 else numbers.g_weight(n, mask) if z is not None
+                 else sign * numbers.g_weight(n, comp))
+            low = prev[kind]
+            poly_ok &= all(s * c == r * (hi * a + lo * b)
+                           for c, a, b in zip(coeffs, [0, *low], [*low, 0]))
+            prev[kind] = coeffs
+
+        # lam = h_dot(n, mask), against the partial sum of seq up to j = n.
+        dot_ok &= lam == f_sum
+
+        # ocmax(mask) at support position t bounds the entry at position t;
+        # the complement's bound at its position t bounds the entry at
+        # n + 1 - t, so that pass walks the support from the top.  Each
+        # bound is compared with its entry from its factors, without
+        # multiplying them out first.
         support = mask.support(n)
         for ms, vec, h, tabs in ((support, mask, lam, tables),
                                  (reversed(support), comp, lam_c, comp_tables)):
             cofactors = bounds.ocmax_cofactors(vec, n, tabs)
-            dom_ok &= all(bounds.ocmax_covers(h, cofactors, [tri.value(n, m) for m in ms]))
+            dom_ok &= all(bounds.ocmax_covers(h, cofactors, [row.get(m, 0) for m in ms]))
+
+        if ref is not None:
+            ref_ok &= row == numbers.row_entries(mask, next(ref))
+
+        if use_oracle and over is None and differs is None:
+            try:
+                counts = oracle.histogram(mask, n, budget).counts
+            except oracle.BudgetError:
+                over = n
+            else:
+                if counts == row:
+                    matched = n
+                else:
+                    differs = n
+
+    results: list[tuple[str, str, str]] = []
+
+    def check(name, ok, detail=""):
+        results.append((name, "PASS" if ok else "FAIL", detail))
+
+    check("row-sums", sums_ok, f"each row n <= {max_n} sums to (n!)^{k}")
+    check("complement-symmetry", sym_ok, "value(mask,n,m) == value(~mask,n,n-m)")
+    check("support", support_ok, f"entries confined to [{off}, n-1+{off}], all positive")
+    check("explicit-sum", explicit_ok,
+          f"subset expansion matches the recurrence for n <= {n_cap}")
+    check("polynomials", poly_ok, "coefficients, sign rule, exact zeros")
+    check("weights", weights_ok, "monotone in j, bounded product, complement sums")
+    check("harmonic-dot", dot_ok, "h_dot equals the f_weight partial sums")
     check("upper-bound-dominance", dom_ok,
           "ocmax covers every entry, complement cross-bound included")
 
@@ -420,34 +443,19 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
         check("tail-bounds", all(t.ok for t in rep.tails),
               f"{side} mass within e^-m1 for m1 in 1..3")
 
-    if mask.bits == (0, 1):
-        ref = numbers._stirling_rows(max_n)
-        check("stirling-reference",
-              all(tri.row(n) == numbers.row_entries(mask, row) for n, row in enumerate(ref, 1)),
-              f"rows 1..{max_n} identical to the classic recurrence")
+    if ref is not None:
+        check("stirling-reference", ref_ok, f"rows 1..{max_n} identical to the classic recurrence")
 
-    if use_oracle:
-        # histogram refuses a row over the budget, and (n!)**k only grows
-        # with n, so the first refusal is the first skipped row.
-        matched, over = 0, None
-        for n in range(1, max_n + 1):
-            try:
-                counts = oracle.histogram(mask, n, budget).counts
-            except oracle.BudgetError:
-                over = n
-                break
-            if counts != tri.row(n):
-                check("oracle", False, f"exhaustive histogram disagrees at n={n}")
-                return results
-            matched = n
-        if matched:
-            detail = f"exhaustive histograms match for n in {{1..{matched}}}"
-            if over is not None:
-                detail += f"; warning: skipped n >= {over} (budget {budget})"
-            check("oracle", True, detail)
-        else:
-            results.append(("oracle", "SKIP", f"warning: budget {budget} allows no row "
-                            "(n=1 already needs 1 tuples)"))
+    if differs is not None:
+        check("oracle", False, f"exhaustive histogram disagrees at n={differs}")
+    elif matched:
+        detail = f"exhaustive histograms match for n in {{1..{matched}}}"
+        if over is not None:
+            detail += f"; warning: skipped n >= {over} (budget {budget})"
+        check("oracle", True, detail)
+    elif use_oracle:
+        results.append(("oracle", "SKIP", f"warning: budget {budget} allows no row "
+                        "(n=1 already needs 1 tuples)"))
     return results
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import islice, product
-from math import comb, factorial, isqrt
+from math import factorial, isqrt
 
 import mpmath
 import pytest
@@ -13,7 +13,6 @@ from seqopt.bounds import (
     exp_bound_holds,
     h_dot,
     h_dots,
-    h_vector,
     mirrored_tail,
     ocmax,
     ocmax_cofactors,
@@ -31,28 +30,6 @@ def all_masks(max_k):
     for k in range(1, max_k + 1):
         for bits in product((0, 1), repeat=k + 1):
             yield Mask(bits)
-
-
-class TestHVector:
-    def test_n_two_is_binomials(self):
-        for k in (1, 2, 3):
-            assert h_vector(2, k) == tuple(Fraction(comb(k, p)) for p in range(k + 1))
-
-    def test_harmonic_entry(self):
-        assert h_vector(4, 1)[1] == Fraction(11, 6)  # 1 + 1/2 + 1/3
-
-    def test_leading_entry_counts_terms(self):
-        for n in (1, 2, 5, 9):
-            assert h_vector(n, 2)[0] == n - 1
-
-    def test_positive_past_row_one(self):
-        assert all(e > 0 for e in h_vector(5, 3))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            h_vector(0, 1)
-        with pytest.raises(ValueError):
-            h_vector(3, 0)
 
 
 class TestHDot:

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import floor, isqrt, log10
@@ -497,6 +498,67 @@ class TestHarmonicDotCheck:
         monkeypatch.setattr(bounds, "h_dots", h_dots)
         results = cli.run_verification(Mask.from_string("011"), 6)
         assert check_status(results, "harmonic-dot") == "FAIL"
+
+
+class TestRowChecks:
+    """row-sums, complement-symmetry, support and stirling-reference read the triangle under test."""
+
+    @staticmethod
+    def verify_changed(monkeypatch, text, row, change):
+        """run_verification at n = 6 with change(mask, cells) applied to row ``row``."""
+        def factory(mask, max_n):
+            tri = triangle(mask, max_n)
+            change(mask, tri.rows[row])
+            return tri
+
+        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+        return cli.run_verification(Mask.from_string(text), 6)
+
+    @pytest.mark.parametrize("row", [6, 3], ids=["top-row", "middle-row"])
+    @pytest.mark.parametrize("text", ["01", "011", "10", "1001", "111", "000"])
+    def test_plus_one_fails(self, monkeypatch, text, row):
+        def plus_one(mask, cells):
+            cells[next(iter(cells))] += 1
+
+        results = self.verify_changed(monkeypatch, text, row, plus_one)
+        assert check_status(results, "row-sums") == "FAIL"
+        assert check_status(results, "complement-symmetry") == "FAIL"
+        if text == "01":
+            assert check_status(results, "stirling-reference") == "FAIL"
+
+    @pytest.mark.parametrize("where", ["below", "above", "zero"])
+    @pytest.mark.parametrize("row", [6, 3], ids=["top-row", "middle-row"])
+    @pytest.mark.parametrize("text", ["01", "011", "10", "1001", "111", "000"])
+    def test_entry_off_the_support_fails(self, monkeypatch, text, row, where):
+        # An entry one below or one above the support [offset, row - 1 +
+        # offset], or a stored entry of zero inside it.
+        def misplace(mask, cells):
+            if where == "zero":
+                cells[next(iter(cells))] = 0
+            else:
+                cells[mask.offset - 1 if where == "below" else row + mask.offset] = 1
+
+        results = self.verify_changed(monkeypatch, text, row, misplace)
+        assert check_status(results, "support") == "FAIL"
+
+
+def test_verify_holds_less_than_one_triangle():
+    # verify reads one row pair at a time, so its peak stays below the size
+    # of one whole triangle of the same mask and n.
+    mask = Mask.stirling()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tri = triangle(mask, 200)
+        one_triangle = tracemalloc.get_traced_memory()[0] - before
+        del tri
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli.run_verification(mask, 200)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < one_triangle, (peak, one_triangle)
 
 
 class TestPolyCommand:

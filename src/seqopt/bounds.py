@@ -21,7 +21,8 @@ The cofactors P_t and Q_t stay a few thousand bits long at n = 300,
 while a**(t-1) and b**(t-1) reach a hundred thousand bits or more: lam's
 numerator and denominator are themselves hundreds of bits long.
 ``ocmax_cofactors`` yields (P_t, Q_t) from the tables G_s and (s!)**k of
-``ocmax_tables``, which one command builds once for its largest row.
+``ocmax_tables``, which a caller builds for the largest row it reads
+(``upper_ratio`` builds its own).
 ``ocmax_covers`` decides A_t >= v * B_t without the powers for most
 entries: with e = max(bits(x) - 64, 0) and T = x >> e, the 64-bit powers
 T**s and (T+1)**s bound bits(x**s) from below and above, exactly when
@@ -60,18 +61,13 @@ _START_BITS = 64
 _CAP_BITS = 1 << 14
 
 __all__ = [
-    "MARGIN",
     "BoundReport",
     "TailCheck",
     "exp_bound_holds",
     "h_dot",
-    "h_dots",
     "mirrored_tail",
     "ocmax",
-    "ocmax_cofactors",
-    "ocmax_covers",
     "ocmax_row",
-    "ocmax_tables",
     "ratio_report",
     "tail_probability",
     "tail_threshold",

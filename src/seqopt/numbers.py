@@ -47,19 +47,16 @@ from typing import NamedTuple
 DEFAULT_SUBSET_LIMIT = 12
 
 __all__ = [
-    "DEFAULT_SUBSET_LIMIT",
     "IntPolynomial",
     "Mask",
     "SubsetLimitError",
     "Triangle",
-    "explicit_row",
     "explicit_value",
     "f_weight",
     "falling_poly",
     "g_weight",
     "poly_zeros",
     "rising_poly",
-    "row_entries",
     "stirling_ref",
     "triangle",
     "value",
@@ -312,10 +309,6 @@ class IntPolynomial(NamedTuple):
 
     coefficients: tuple[int, ...]
     kind: str  # "rising" or "falling"
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation; accepts int or Fraction."""

@@ -31,7 +31,6 @@ from .numbers import Mask
 DEFAULT_BUDGET = 10_000_000
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "BudgetError",
     "Histogram",
     "color_boards_count",
@@ -94,10 +93,6 @@ class Histogram(NamedTuple):
     mask: Mask
     n: int
     counts: dict[int, int]
-
-    @property
-    def k(self) -> int:
-        return self.mask.k
 
     def total(self) -> int:
         return sum(self.counts.values())

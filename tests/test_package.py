@@ -1,0 +1,51 @@
+"""The package surface: which names ``seqopt`` publishes and where each lives."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import seqopt
+from seqopt import bounds, numbers, oracle
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+PUBLIC = {
+    bounds: [
+        "BoundReport", "TailCheck", "exp_bound_holds", "h_dot", "mirrored_tail", "ocmax",
+        "ocmax_row", "ratio_report", "tail_probability", "tail_threshold", "upper_ratio",
+    ],
+    numbers: [
+        "IntPolynomial", "Mask", "SubsetLimitError", "Triangle", "explicit_value", "f_weight",
+        "falling_poly", "g_weight", "poly_zeros", "rising_poly", "stirling_ref", "triangle",
+        "value",
+    ],
+    oracle: [
+        "BudgetError", "Histogram", "color_boards_count", "histogram",
+        "optimization_set_bruteforce", "prefix_min_records",
+    ],
+}
+PAIRS = [(module, name) for module, names in PUBLIC.items() for name in names]
+NAMES = sorted(name for _, name in PAIRS)
+
+
+def test_all_lists_the_thirty_public_names():
+    assert len(NAMES) == 30
+    assert sorted(seqopt.__all__) == NAMES
+
+
+@pytest.mark.parametrize("module, name", PAIRS,
+                         ids=[f"{module.__name__}.{name}" for module, name in PAIRS])
+def test_each_name_is_its_defining_modules_object(module, name):
+    assert getattr(seqopt, name) is getattr(module, name)
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace: dict = {}
+    exec("from seqopt import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == NAMES
+
+
+def test_version_matches_pyproject():
+    match = re.search(r'^version\s*=\s*"([^"]+)"', PYPROJECT.read_text(), re.MULTILINE)
+    assert match and seqopt.__version__ == match.group(1)

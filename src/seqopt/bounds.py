@@ -35,7 +35,9 @@ the row from the cofactors and lam without forming a Fraction.
 it is the polynomial sum of cs[u] * a**u * b**(n-1-u) over u = 0..n-1.
 That sum is evaluated by halving the index range, so every big multiply
 has operands of about equal length, where a Horner loop multiplies its
-long running value by a short factor once per term.
+long running value by a short factor once per term.  The sum is reduced
+over the denominator's known factors, (n-1)! * (n!)**k and b**(n-1),
+never by a gcd of two numbers as long as the sum.
 
 Everything stays rational.  e**x, e, ln(n-1) and pi enter only as
 enclosures: pairs of integers lo <= c * 2**w <= hi, rounded outward at
@@ -50,7 +52,7 @@ margin on top of the bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, comb, exp, factorial
+from math import ceil, comb, exp, factorial, gcd
 from typing import NamedTuple
 
 from .numbers import Mask, f_weight, g_weight, value
@@ -287,6 +289,12 @@ def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
     assembled on a single integer common denominator, whose numerator
     is summed by halving (see the module docstring).  lam, if given, must
     be h_dot(n, mask); it is computed when omitted.
+
+    The numerator acc is reduced over its denominator S * b**(n-1), S =
+    (n-1)! * (n!)**k, by g = gcd(acc, S), whose short operand makes it
+    cheap, and then by gcd(acc/g, b**(n-1)) only where acc/g shares a
+    prime with b; the pair left is coprime, so the Fraction is built
+    without its own gcd, which costs as much on a coprime pair as on any.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -305,7 +313,26 @@ def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
         q1 //= t
         q2 *= n - t
     acc, _, b_pow = _power_sum(cs, a, b, 0, n)
-    return Fraction(acc, fact_n1 * (b_pow // b) * factorial(n) ** k)
+    # gcd(x, y * z) = gcd(x, y) * gcd(x / gcd(x, y), z), for y = small, z = b**(n-1).
+    small = fact_n1 * factorial(n) ** k
+    g = gcd(acc, small)
+    acc, small, b_pow = acc // g, small // g, b_pow // b
+    if gcd(acc, b) != 1:
+        g = gcd(acc, b_pow)
+        acc, b_pow = acc // g, b_pow // g
+    return _coprime_fraction(acc, small * b_pow)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime ints with den > 0, skipping Fraction's own gcd.
+
+    That gcd costs as much on a coprime pair of huge ints as on any other.
+    The instance is built as CPython 3.12's Fraction._from_coprime_ints
+    builds it, by setting the two slots, which 3.10 to 3.13 share.
+    """
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
 
 
 def _odd_series(p: int, q: int, w: int, sign: int) -> tuple[int, int]:

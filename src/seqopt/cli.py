@@ -14,9 +14,10 @@ Exact integers and rationals that a command computes are rendered through
 whose string takes linear time where ``str(int)`` before Python 3.12 takes
 time quadratic in the digit count.  ``bounds``' ocmax row, tens of thousands of digits per
 entry, is rendered from its factored form by ``_power_fraction_strs``:
-the powers of lam's numerator and denominator are kept as running
-``Decimal`` products and reduced by gcds of small integers, so no huge
-``Fraction`` is reduced and no huge int converted.
+the power of lam's numerator and the reduced power of its denominator
+are kept as running ``Decimal`` products, and the reduction comes from
+gcds of small integers, so no huge ``Fraction`` is reduced, no huge int
+converted and no huge ``Decimal`` divided by a long one.
 """
 
 from __future__ import annotations
@@ -103,31 +104,43 @@ def _exact_quotient(x: Decimal, d: int) -> Decimal:
 def _power_fraction_strs(lam: Fraction, cofactors):
     """Yield str(Fraction(a**s * p, b**s * q)) for the pair (p, q) at index s of cofactors.
 
-    lam = a/b >= 0 in lowest terms; p >= 0 and q >= 1 are ints.  Only a**s
-    and b**s are large: they are running ``Decimal`` products, one
-    multiply a step, and the gcd comes from small ints.  With g1 = gcd(p,
+    lam = a/b >= 0 in lowest terms; p >= 0 and q >= 1 are ints.  Only the
+    powers are large, and the gcd comes from small ints.  With g1 = gcd(p,
     q), p1 = p/g1, q1 = q/g1, ga = gcd(a**s, q1) and gb = gcd(b**s, p1),
     the gcd of a**s * p and b**s * q is g1 * ga * gb: compare p-adic
     valuations, using a coprime to b and p1 coprime to q1.  So the reduced
     numerator is (a**s / ga) * (p1 / gb) and the denominator (b**s / gb) *
     (q1 / ga).  ga and gb are taken through pow(a, s, q1) and pow(b, s, p1).
+
+    a**s is a running ``Decimal`` product.  b**s is never held whole: the
+    running ``Decimal`` is b**s / g, with g the gb of the last nonzero
+    entry (1 before any).  A nonzero entry steps it by b * g / gb in
+    lowest terms, a multiply by the numerator and an exact division by
+    the denominator, which is 1 or a few bits long where gb runs to
+    thousands; a zero entry steps it by b alone.
     """
     a, b = lam.numerator, lam.denominator
-    a_pow = b_pow = Decimal(1)
+    a_pow = b_part = Decimal(1)  # a**s and b**s / g
+    g, lift = 1, 1  # lift is b from the second entry on
     for s, (p, q) in enumerate(cofactors):
         # The context is entered per step, never held across a yield.
         with localcontext(numbers._EXACT):
             if not (p and a_pow):
                 text = "0"
+                b_part *= lift
             else:
                 g1 = gcd(p, q)
                 p, q = p // g1, q // g1
                 ga, gb = gcd(pow(a, s, q), q), gcd(pow(b, s, p), p)
+                step = lift * g
+                h = gcd(step, gb)
+                b_part = _exact_quotient(b_part * Decimal(step // h), gb // h)
+                g = gb
                 num = _exact_quotient(a_pow, ga) * Decimal(p // gb)
-                den = _exact_quotient(b_pow, gb) * Decimal(q // ga)
+                den = b_part * Decimal(q // ga)
                 text = str(num) if den == 1 else f"{num}/{den}"
             a_pow *= a
-            b_pow *= b
+        lift = b
         yield text
 
 

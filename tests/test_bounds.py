@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import islice, product
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 import mpmath
 import pytest
@@ -257,6 +257,29 @@ class TestRatioReport:
             for n in (2, 3, 7, 16, 33):
                 want = sum(ocmax_row(mask, n).values()) / Fraction(factorial(n) ** mask.k)
                 assert upper_ratio(mask, n) == want
+
+    def test_upper_ratio_is_reduced_as_fraction_reduces_it(self):
+        # upper_ratio skips Fraction's gcd, so it must hand over a coprime
+        # pair: the same pair Fraction(acc, den) makes from the unreduced
+        # numerator over (n-1)! * b**(n-1) * (n!)**k.
+        for mask in all_masks(3):
+            for n in range(2, 41):
+                k, b = mask.k, h_dot(n, mask).denominator
+                den = factorial(n - 1) * b ** (n - 1) * factorial(n) ** k
+                acc = sum(ocmax_row(mask, n).values()) * den / factorial(n) ** k
+                assert acc.denominator == 1
+                r = upper_ratio(mask, n)
+                assert gcd(r.numerator, r.denominator) == 1
+                want = Fraction(acc.numerator, den)
+                assert (r.numerator, r.denominator) == (want.numerator, want.denominator)
+
+    def test_upper_ratio_reduces_by_powers_of_b(self):
+        # lam = 9/2 and acc = 2688 over 2 * 2**2 * 6**3: the gcd with
+        # 2 * 6**3 leaves 56 / (9 * 2**2), whose 4 only the gcd with b**2
+        # removes.  Of all masks with k <= 3 and n <= 120, only this one
+        # needs that second gcd.
+        r = upper_ratio(Mask.from_string("0100"), 3)
+        assert (r.numerator, r.denominator) == (14, 9)
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):

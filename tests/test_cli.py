@@ -690,6 +690,11 @@ class TestPowerFractionStrs:
     @example((Fraction(6, 5), [(1, 1), (7, 12), (25, 8 * 9), (0, 36), (5, 1)]))
     @example((Fraction(0), [(3, 4), (3, 4), (0, 1)]))
     @example((Fraction(4, 9), [(9 * 7, 2 * 11), (81, 16 * 3), (0, 5)]))
+    # gb = 25 at s = 2 does not divide b * g = 5 * 1: the running b**s / g
+    # is divided by 5; at s = 3, b * g = 5 * 25 is divided down by gb = 5.
+    @example((Fraction(2, 5), [(1, 1), (1, 1), (25 * 7, 11), (5 * 3, 2)]))
+    # Zero cofactors between nonzero ones still advance b**s / g by b.
+    @example((Fraction(4, 9), [(3, 2), (0, 1), (27 * 5, 7), (0, 1), (0, 1), (2, 1)]))
     def test_equals_the_reduced_fraction(self, case):
         lam, pairs = case
         a, b = lam.numerator, lam.denominator

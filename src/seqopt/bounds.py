@@ -144,13 +144,6 @@ def _harmonic_sums(k: int, max_n: int):
         sums = [s + Fraction(1, n**p) for p, s in enumerate(sums)]
 
 
-def _last(values):
-    """The last item of a nonempty iterable."""
-    for value in values:
-        pass
-    return value
-
-
 def _dot(sums: list[Fraction], mask: Mask) -> Fraction:
     """h_dot from one row of running sums: sum of comb(k, p) * sums[p] over the mask's bits."""
     k = mask.k
@@ -170,7 +163,9 @@ def h_dot(n: int, mask: Mask) -> Fraction:
     sum(f_weight(j, mask) for j in 2..n); that identity is enforced in the
     test suite and by ``verify``.
     """
-    return _dot(_last(_harmonic_sums(mask.k, n)), mask)
+    for sums in _harmonic_sums(mask.k, n):
+        pass
+    return _dot(sums, mask)
 
 
 def ocmax(mask: Mask, n: int, m: int) -> Fraction:
@@ -454,8 +449,6 @@ class BoundReport(NamedTuple):
     The per-entry caps are ocmax_row(mask, n), or ocmax_cofactors and lam in integers.
     """
 
-    mask: Mask
-    n: int
     lam: Fraction
     lam_prime: Fraction
     ratio: Fraction
@@ -488,7 +481,5 @@ def ratio_report(mask: Mask, n: int, m1_values=()) -> BoundReport:
         else:
             thr, prob = mirrored_tail(mask, n, m1)
         tails.append(TailCheck(m1, thr, prob, exp(-m1), exp_bound_holds(prob, -m1)))
-    return BoundReport(
-        mask, n, lam, lam_prime, ratio, ratio_prime,
-        exp_bound_holds(ratio, lam), exp_bound_holds(ratio_prime, lam_prime),
-        tuple(tails))
+    return BoundReport(lam, lam_prime, ratio, ratio_prime, exp_bound_holds(ratio, lam),
+                       exp_bound_holds(ratio_prime, lam_prime), tuple(tails))

@@ -358,20 +358,24 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
         weights_ok &= all(w >= 1 for w in seq)
 
     n_cap = min(max_n, subset_limit)
-    # Row n's roots are the first n of row max_n's: one list per kind.  Row
-    # n must be r * (x - p/q) times row n - 1, which was checked before it
-    # (row 0 is the constant 1): q * row n == r * (q*x - p) * row n - 1,
-    # with r = g_weight(n, mask), and r = 1 for row 1's factor x.  A slot of
-    # None marks a factor with g_weight(n, mask) == 0: it is the constant
-    # r = sign * g_weight(n, ~mask) and has no root.  By induction, row n is
-    # then the product of its r's times prod(x - z) over its first n roots:
-    # degree, leading coefficient and roots fix the polynomial.
-    all_zeros = {kind: numbers.poly_zeros(mask, max_n, kind) for kind in ("rising", "falling")}
-    prev = {"rising": [1], "falling": [1]}
+    # Row n's roots are the first n of row max_n's.  Row n must be
+    # r * (x - p/q) times row n - 1, which was checked before it (row 0 is
+    # the constant 1): q * row n == r * (q*x - p) * row n - 1, with
+    # r = g_weight(n, mask), and r = 1 for row 1's factor x.  A slot of None
+    # marks a factor with g_weight(n, mask) == 0: it is the constant
+    # r = g_weight(n, ~mask) and has no root.  By induction, row n is then
+    # the product of its r's times prod(x - z) over its first n roots:
+    # degree, leading coefficient and roots fix the polynomial.  The falling
+    # product is (-1)**n times the rising one at -x, so its identity is this
+    # one times (-1)**(n+u) on x**u exactly when its roots are these negated.
+    zeros = numbers.poly_zeros(mask, max_n)
+    poly_ok = numbers.poly_zeros(mask, max_n, "falling") == [
+        None if z is None else -z for z in zeros]
+    low = [1]
     # Each mask's cofactor tables are built once, for row max_n.
     tables, comp_tables = bounds.ocmax_tables(mask, max_n), bounds.ocmax_tables(comp, max_n)
     ref = numbers._stirling_rows(max_n) if mask.bits == (0, 1) else None
-    sums_ok = sym_ok = support_ok = explicit_ok = poly_ok = dot_ok = dom_ok = ref_ok = True
+    sums_ok = sym_ok = support_ok = explicit_ok = dot_ok = dom_ok = ref_ok = True
     total = 1  # (n!)**k
     # The oracle stops at its first disagreement or at the first row over
     # the budget: histogram refuses such a row, and (n!)**k only grows with n.
@@ -388,34 +392,28 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
         if n <= n_cap:
             explicit_ok &= numbers.explicit_row(mask, n, subset_limit) == row
 
-        # Row n as the coefficients of x**0..x**n, and the falling product's
-        # coefficients by the sign rule (-1)**(n+u).
-        rising = [row.get(u + off - 1, 0) for u in range(n + 1)]
-        falling = [-c if (n + u) % 2 else c for u, c in enumerate(rising)]
-        for kind, sign, coeffs in (("rising", 1, rising), ("falling", -1, falling)):
-            z = all_zeros[kind][n - 1]
-            # s * row n == r * (hi*x + lo) * row n - 1; a None slot's factor is 1.
-            s, hi, lo = (1, 0, 1) if z is None else (z.denominator, z.denominator, -z.numerator)
-            r = (1 if n == 1 else numbers.g_weight(n, mask) if z is not None
-                 else sign * numbers.g_weight(n, comp))
-            low = prev[kind]
-            poly_ok &= all(s * c == r * (hi * a + lo * b)
-                           for c, a, b in zip(coeffs, [0, *low], [*low, 0]))
-            prev[kind] = coeffs
+        # Row n as the coefficients of x**0..x**n.
+        coeffs = [row.get(u + off - 1, 0) for u in range(n + 1)]
+        z = zeros[n - 1]
+        # s * row n == r * (hi*x + lo) * row n - 1; a None slot's factor is 1.
+        s, hi, lo = (1, 0, 1) if z is None else (z.denominator, z.denominator, -z.numerator)
+        r = 1 if n == 1 else numbers.g_weight(n, comp if z is None else mask)
+        poly_ok &= all(s * c == r * (hi * a + lo * b)
+                       for c, a, b in zip(coeffs, [0, *low], [*low, 0]))
+        low = coeffs
 
         # lam = h_dot(n, mask), against the partial sum of seq up to j = n.
         dot_ok &= lam == f_sum
 
-        # ocmax(mask) at support position t bounds the entry at position t;
-        # the complement's bound at its position t bounds the entry at
-        # n + 1 - t, so that pass walks the support from the top.  Each
+        # ocmax(mask) at support position t bounds the entry at position t,
+        # coeffs[t]; the complement's bound at its position t bounds the
+        # entry at n + 1 - t, so that pass reads coeffs from the top.  Each
         # bound is compared with its entry from its factors, without
         # multiplying them out first.
-        support = mask.support(n)
-        for ms, vec, h, tabs in ((support, mask, lam, tables),
-                                 (reversed(support), comp, lam_c, comp_tables)):
+        for vec, h, tabs, entries in ((mask, lam, tables, coeffs[1:]),
+                                      (comp, lam_c, comp_tables, coeffs[:0:-1])):
             cofactors = bounds.ocmax_cofactors(vec, n, tabs)
-            dom_ok &= all(bounds.ocmax_covers(h, cofactors, [row.get(m, 0) for m in ms]))
+            dom_ok &= all(bounds.ocmax_covers(h, cofactors, entries))
 
         if ref is not None:
             ref_ok &= row == numbers.row_entries(mask, next(ref))

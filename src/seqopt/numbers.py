@@ -308,7 +308,6 @@ class IntPolynomial(NamedTuple):
     """Integer-coefficient polynomial; coefficients[i] multiplies x**i."""
 
     coefficients: tuple[int, ...]
-    kind: str  # "rising" or "falling"
 
     def __call__(self, x) -> Fraction:
         """Exact Horner evaluation; accepts int or Fraction."""
@@ -327,7 +326,7 @@ def rising_poly(mask: Mask, n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return IntPolynomial(_row(mask, n), "rising")
+    return IntPolynomial(_row(mask, n))
 
 
 def falling_poly(mask: Mask, n: int) -> IntPolynomial:
@@ -336,8 +335,7 @@ def falling_poly(mask: Mask, n: int) -> IntPolynomial:
     Its coefficients are rising_poly's with the sign (-1)**(n+u) on x**u.
     """
     coeffs = rising_poly(mask, n).coefficients
-    return IntPolynomial(tuple(-c if (n + u) % 2 else c for u, c in enumerate(coeffs)),
-                         "falling")
+    return IntPolynomial(tuple(-c if (n + u) % 2 else c for u, c in enumerate(coeffs)))
 
 
 def poly_zeros(mask: Mask, n: int, kind: str = "rising") -> list[Fraction | None]:

@@ -90,8 +90,6 @@ def optimization_set_bruteforce(points) -> set:
 class Histogram(NamedTuple):
     """Exact counts of selected-row totals over every permutation tuple."""
 
-    mask: Mask
-    n: int
     counts: dict[int, int]
 
     def total(self) -> int:
@@ -138,7 +136,7 @@ def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
     counts: Counter = Counter()
     for level, ways in _level_counts(n, mask.k):
         counts[sum(bits[l] for l in level)] += ways
-    return Histogram(mask, n, dict(sorted(counts.items())))
+    return Histogram(dict(sorted(counts.items())))
 
 
 def color_boards_count(heights, mask: Mask) -> int:

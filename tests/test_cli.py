@@ -1,6 +1,7 @@
 """CLI contract tests: formats, round-trips, exit codes."""
 
 import decimal
+import hashlib
 import json
 import os
 import random
@@ -298,6 +299,14 @@ class TestVerifyGoldens:
         code, out, _ = run(capsys, "verify", *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+    # Exit code and stdout SHA-256 of every mask with k <= 3 at n in
+    # {1, 2, 3, 7, 13, 25}, and with --oracle at n in {1, 2, 3, 7}.
+    @pytest.mark.parametrize("argv, want", json.loads(
+        (GOLDEN / "verify_k3_digests.json").read_text()).items())
+    def test_digest_for_every_mask_with_k_up_to_3(self, capsys, argv, want):
+        code, out, _ = run(capsys, "verify", *argv.split())
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == want
 
 
 def check_status(results, name):

@@ -52,6 +52,7 @@ margin on top of the bound.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, comb, exp, factorial, gcd
 from typing import NamedTuple
 
@@ -262,19 +263,25 @@ def ocmax_row(mask: Mask, n: int) -> dict[int, Fraction]:
             for s, (m, (p, q)) in enumerate(zip(mask.support(n), ocmax_cofactors(mask, n)))}
 
 
-def _power_sum(cs: list[int], a: int, b: int, lo: int, hi: int):
-    """(S, a**(hi-lo), b**(hi-lo)) for S = sum of cs[u] * a**(u-lo) * b**(hi-1-u), lo <= u < hi.
+def _powers(x: int):
+    """e -> x**e, memoized: each power past x**1 is formed once, from those of e's halves."""
+    @lru_cache(maxsize=None)
+    def power(e: int) -> int:
+        return x**e if e < 2 else power(e // 2) * power(e - e // 2)
+    return power
+
+
+def _power_sum(cs: list[int], apow, bpow, lo: int, hi: int) -> int:
+    """S = sum of cs[u] * a**(u-lo) * b**(hi-1-u), lo <= u < hi, for apow(e) = a**e, bpow(e) = b**e.
 
     Splits at mid: S[lo, hi) = S[lo, mid) * b**(hi-mid) + a**(mid-lo) *
-    S[mid, hi), so the two halves' sums and powers are about equally long
-    when they are multiplied.
+    S[mid, hi), so the factors of each product are about equally long.
     """
     if hi - lo == 1:
-        return cs[lo], a, b
+        return cs[lo]
     mid = (lo + hi) // 2
-    s1, a1, b1 = _power_sum(cs, a, b, lo, mid)
-    s2, a2, b2 = _power_sum(cs, a, b, mid, hi)
-    return s1 * b2 + a1 * s2, a1 * a2, b1 * b2
+    return (_power_sum(cs, apow, bpow, lo, mid) * bpow(hi - mid)
+            + apow(mid - lo) * _power_sum(cs, apow, bpow, mid, hi))
 
 
 def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
@@ -307,11 +314,12 @@ def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
         cs[t - 1] = su[n - t] * q1 * q2**k
         q1 //= t
         q2 *= n - t
-    acc, _, b_pow = _power_sum(cs, a, b, 0, n)
+    bpow = _powers(b)
+    acc, b_pow = _power_sum(cs, _powers(a), bpow, 0, n), bpow(n - 1)
     # gcd(x, y * z) = gcd(x, y) * gcd(x / gcd(x, y), z), for y = small, z = b**(n-1).
     small = fact_n1 * factorial(n) ** k
     g = gcd(acc, small)
-    acc, small, b_pow = acc // g, small // g, b_pow // b
+    acc, small = acc // g, small // g
     if gcd(acc, b) != 1:
         g = gcd(acc, b_pow)
         acc, b_pow = acc // g, b_pow // g
@@ -403,6 +411,12 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
                        "of an integer: undecided")
 
 
+def _row_mass(mask: Mask, n: int, lo: int, hi: int) -> Fraction:
+    """Sum of row n's entries at support indices lo <= m < hi, over (n!)**k."""
+    ms = range(max(lo, mask.offset), min(hi, n + mask.offset))
+    return Fraction(sum(value(mask, n, m) for m in ms), factorial(n) ** mask.k)
+
+
 def tail_probability(mask: Mask, n: int, threshold_m: int) -> Fraction:
     """Exact row mass strictly above the absolute index threshold_m.
 
@@ -411,9 +425,7 @@ def tail_probability(mask: Mask, n: int, threshold_m: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lo = max(threshold_m + 1, mask.offset)
-    mass = sum(value(mask, n, m) for m in range(lo, n + mask.offset))
-    return Fraction(mass, factorial(n) ** mask.k)
+    return _row_mass(mask, n, threshold_m + 1, n + mask.offset)
 
 
 def mirrored_tail(mask: Mask, n: int, m1: int) -> tuple[int, Fraction]:
@@ -427,12 +439,8 @@ def mirrored_tail(mask: Mask, n: int, m1: int) -> tuple[int, Fraction]:
     """
     if mask.bits[0] != 1:
         raise ValueError("mask has first bit 0; use tail_threshold and tail_probability")
-    comp = mask.complement()
-    thr = tail_threshold(comp, n, m1)
-    cutoff = n - thr + mask.offset
-    hi = min(cutoff, n + mask.offset)
-    mass = sum(value(mask, n, m) for m in range(mask.offset, hi))
-    return thr, Fraction(mass, factorial(n) ** mask.k)
+    thr = tail_threshold(mask.complement(), n, m1)
+    return thr, _row_mass(mask, n, mask.offset, n - thr + mask.offset)
 
 
 class TailCheck(NamedTuple):

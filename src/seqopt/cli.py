@@ -29,7 +29,7 @@ import sys
 from contextlib import contextmanager
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, groupby, tee
+from itertools import accumulate, groupby, tee, zip_longest
 from math import gcd, prod
 from operator import itemgetter
 
@@ -543,23 +543,17 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
 
 def cmd_stirling(args: argparse.Namespace, out) -> int:
     n = args.max_n
-    mask = numbers.Mask.stirling()
     lines = []
     # Both are int tuples indexed by m = 0..n: mask 01's support starts at 1.
-    pairs = zip(numbers._unsigned_rows(mask, n), numbers._stirling_rows(n))
+    pairs = zip(numbers._unsigned_rows(numbers.Mask.stirling(), n), numbers._stirling_rows(n))
     for nn, (urow, wrow) in enumerate(pairs, 1):
         if urow != wrow:
-            got, want = numbers.row_entries(mask, urow), numbers.row_entries(mask, wrow)
-            for m in sorted(set(got) | set(want)):
-                if got.get(m, 0) != want.get(m, 0):
-                    lines.append(f"MISMATCH n={nn} m={m} "
-                                 f"triangle={_exact_str(got.get(m, 0))} "
-                                 f"reference={_exact_str(want.get(m, 0))}")
-    clean = not lines
-    if clean:
-        lines.append(f"OK: {n} rows identical")
-    _write(out, "\n".join(lines) + "\n")
-    return EXIT_OK if clean else EXIT_CHECK_FAILED
+            for m, (got, want) in enumerate(zip_longest(urow, wrow, fillvalue=0)):
+                if m and got != want:
+                    lines.append(f"MISMATCH n={nn} m={m} triangle={_exact_str(got)} "
+                                 f"reference={_exact_str(want)}")
+    _write(out, "\n".join(lines or [f"OK: {n} rows identical"]) + "\n")
+    return EXIT_CHECK_FAILED if lines else EXIT_OK
 
 
 # ------------------------------------------------------------------ parsing
@@ -628,10 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
         if mask:
             sp.add_argument("--mask", type=_mask_arg, required=True,
                             help="bit string c0c1...ck, e.g. 01")
-        if n_default is None:
-            sp.add_argument("--n", type=n_type, required=True, dest="max_n")
-        else:
-            sp.add_argument("--n", type=n_type, default=n_default, dest="max_n")
+        sp.add_argument("--n", type=n_type, default=n_default, required=n_default is None,
+                        dest="max_n")
         sp.add_argument("--out", default=None, help="write output to this path")
 
     sp = sub.add_parser("triangle", help="print rows 1..n of the triangle")

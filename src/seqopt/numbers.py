@@ -108,13 +108,6 @@ class Mask(_MaskBits):
         """The mask ``01`` whose triangle is the unsigned Stirling numbers."""
         return cls((0, 1))
 
-    @classmethod
-    def any_record(cls, k: int) -> "Mask":
-        """``(0, 1, ..., 1)``: select rows that are a record in at least one column."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return cls((0,) + (1,) * k)
-
     @property
     def k(self) -> int:
         return len(self.bits) - 1
@@ -236,12 +229,6 @@ class Triangle(NamedTuple):
         if not 1 <= n <= self.max_n:
             raise ValueError(f"row {n} outside 1..{self.max_n}")
         return dict(self.rows[n])
-
-    def value(self, n: int, m: int) -> int:
-        """Entry at (n, m); zero anywhere outside the stored support."""
-        if not 1 <= n <= self.max_n:
-            raise ValueError(f"row {n} outside 1..{self.max_n}")
-        return self.rows[n].get(m, 0)
 
 
 def triangle(mask: Mask, max_n: int) -> Triangle:

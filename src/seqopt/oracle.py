@@ -92,9 +92,6 @@ class Histogram(NamedTuple):
 
     counts: dict[int, int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 @lru_cache(maxsize=None)
 def _flag_counts(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -116,7 +116,7 @@ def test_c07_upper_bound_dominance():
         for n in range(1, 16):
             row = bounds.ocmax_row(mask, n)
             for m in mask.support(n):
-                ok &= row[m] >= tri.value(n, m)
+                ok &= row[m] >= tri.rows[n].get(m, 0)
     report("C7 upper bound dominance", ok, "exact rational >=, n <= 15, k <= 3")
 
 

@@ -73,7 +73,7 @@ class TestOcmax:
             for n in range(1, 11):
                 row = ocmax_row(mask, n)
                 for m in mask.support(n):
-                    assert row[m] >= tri.value(n, m)
+                    assert row[m] >= tri.rows[n].get(m, 0)
 
     def test_row_matches_single_entry_formula(self):
         for mask in all_masks(2):
@@ -306,12 +306,15 @@ class TestPowerSum:
     @example(cs=[2], a=0, b=1)
     def test_halving_equals_horner(self, cs, a, b):
         n = len(cs)
-        assert bounds._power_sum(cs, a, b, 0, n) == (horner_power_sum(cs, a, b), a**n, b**n)
+        apow, bpow = bounds._powers(a), bounds._powers(b)
+        assert bounds._power_sum(cs, apow, bpow, 0, n) == horner_power_sum(cs, a, b)
+        assert [(apow(e), bpow(e)) for e in range(n + 1)] == [(a**e, b**e) for e in range(n + 1)]
 
     def test_inner_range(self):
         cs = [5, 7, 11, 13, 17, 19, 23]
-        s, a_pow, b_pow = bounds._power_sum(cs, 2, 3, 2, 6)
-        assert (s, a_pow, b_pow) == (horner_power_sum(cs[2:6], 2, 3), 2**4, 3**4)
+        apow, bpow = bounds._powers(2), bounds._powers(3)
+        assert bounds._power_sum(cs, apow, bpow, 2, 6) == horner_power_sum(cs[2:6], 2, 3)
+        assert (apow(4), bpow(4)) == (2**4, 3**4)
 
 
 class TestBoundingSequence:

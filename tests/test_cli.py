@@ -58,6 +58,14 @@ def corrupting_rows(rows_of, target=None):
     return rows
 
 
+def editing_rows(rows_of, target, edit):
+    """Wrap a row generator so that row ``target`` is replaced by ``edit(row)``."""
+    def rows(mask, max_n):
+        for n, urow in enumerate(rows_of(mask, max_n), 1):
+            yield edit(urow) if n == target else urow
+    return rows
+
+
 class TestTriangleCommand:
     def test_csv_contains_known_entry(self, capsys):
         code, out, _ = run(capsys, "triangle", "--mask", "01", "--n", "4", "--format", "csv")
@@ -643,6 +651,14 @@ class TestBoundsCommand:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    # Exit code and stdout SHA-256 of every mask with k <= 3 at n in
+    # {2, 3, 7, 25}, tails at the default m1 = 1, 2, 3 included.
+    @pytest.mark.parametrize("argv, want", json.loads(
+        (GOLDEN / "bounds_k3_digests.json").read_text()).items())
+    def test_digest_for_every_mask_with_k_up_to_3(self, capsys, argv, want):
+        code, out, _ = run(capsys, "bounds", *argv.split())
+        assert [code, hashlib.sha256(out.encode()).hexdigest()] == want
+
     @pytest.mark.parametrize("end", ["bottom", "top"])
     def test_entry_above_its_bound_fails(self, capsys, monkeypatch, end):
         # ocmax is tight at the bottom of the support: one more than the
@@ -751,6 +767,21 @@ class TestStirlingCommand:
         assert want == ["MISMATCH n=3 m=1 triangle=3 reference=2"]
         monkeypatch.setattr(numbers, "_unsigned_rows", corrupted)
         assert run(capsys, "stirling", "--n", "7") == (1, "\n".join(want) + "\n", "")
+
+    def test_trailing_slot_past_the_reference_row(self, capsys, monkeypatch):
+        # Row 4 gains a nonzero slot m = 5 that the reference row 4 lacks; a
+        # diff that stops at the end of the shorter row misses it.
+        rows = editing_rows(numbers._unsigned_rows, 4, lambda urow: urow + (5,))
+        monkeypatch.setattr(numbers, "_unsigned_rows", rows)
+        assert run(capsys, "stirling", "--n", "7") == (
+            1, "MISMATCH n=4 m=5 triangle=5 reference=0\n", "")
+
+    def test_unused_slot_zero_is_not_diffed(self, capsys, monkeypatch):
+        # Slot 0 holds no entry (mask 01's support starts at m = 1), so raising
+        # it in row 3 changes no entry of the triangle and the diff stays clean.
+        rows = editing_rows(numbers._unsigned_rows, 3, lambda urow: (urow[0] + 1, *urow[1:]))
+        monkeypatch.setattr(numbers, "_unsigned_rows", rows)
+        assert run(capsys, "stirling", "--n", "7") == (0, "OK: 7 rows identical\n", "")
 
     def test_streams_under_an_address_space_cap(self):
         # Rows are compared a pair at a time, so n = 800 fits in 150 MB of

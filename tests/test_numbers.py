@@ -77,9 +77,9 @@ class TestMask:
 
     def test_named_constructors(self):
         assert Mask.stirling().bits == (0, 1)
-        assert Mask.any_record(3).bits == (0, 1, 1, 1)
+        assert Mask((0,) + (1,) * 3).bits == (0, 1, 1, 1)
         with pytest.raises(ValueError):
-            Mask.any_record(0)
+            Mask((0,))
 
     def test_support_window(self):
         assert list(Mask.from_string("01").support(4)) == [1, 2, 3, 4]
@@ -203,7 +203,7 @@ class TestTriangle:
         with pytest.raises(ValueError):
             tri.row(4)
         with pytest.raises(ValueError):
-            tri.value(0, 1)
+            tri.row(0)
 
     @given(bit_lists, st.integers(min_value=1, max_value=7))
     def test_row_sum_property(self, bits, n):

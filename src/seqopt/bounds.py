@@ -30,6 +30,8 @@ e = 0, and a sum of bit lengths with a slack of 2 settles the
 comparison; only an entry that test leaves open forms a**(t-1) and
 b**(t-1).  ``ocmax_row`` is the ``Fraction`` view, and the CLI renders
 the row from the cofactors and lam without forming a Fraction.
+``tail_checks`` sums slices of unsigned row n (slot u holds the entry
+at m = u + offset - 1), taken whole from its caller.
 
 ``upper_ratio`` puts the row total over one integer denominator, where
 it is the polynomial sum of cs[u] * a**u * b**(n-1-u) over u = 0..n-1.
@@ -56,7 +58,7 @@ from functools import lru_cache
 from math import ceil, comb, exp, factorial, gcd
 from typing import NamedTuple
 
-from .numbers import Mask, f_weight, g_weight, value
+from .numbers import Mask, _row, f_weight, g_weight
 
 MARGIN = Fraction(1, 10**12)
 # Enclosures start at _START_BITS bits and double until they settle.
@@ -411,21 +413,20 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
                        "of an integer: undecided")
 
 
-def _row_mass(mask: Mask, n: int, lo: int, hi: int) -> Fraction:
-    """Sum of row n's entries at support indices lo <= m < hi, over (n!)**k."""
-    ms = range(max(lo, mask.offset), min(hi, n + mask.offset))
-    return Fraction(sum(value(mask, n, m) for m in ms), factorial(n) ** mask.k)
+def _row_mass(mask: Mask, row, lo: int, hi: int) -> Fraction:
+    """Sum of unsigned row n's slots lo <= u < hi, u >= 1, over (n!)**k; n = len(row) - 1."""
+    return Fraction(sum(row[max(lo, 1):max(hi, 1)]), factorial(len(row) - 1) ** mask.k)
 
 
 def tail_probability(mask: Mask, n: int, threshold_m: int) -> Fraction:
     """Exact row mass strictly above the absolute index threshold_m.
 
-    sum(value(mask, n, m) for m > threshold_m) over (n!)**k; 1 when the
-    threshold sits below the support, 0 when it clears the top.
+    The entries of row n at m > threshold_m, summed over (n!)**k; 1 when
+    the threshold sits below the support, 0 when it clears the top.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _row_mass(mask, n, threshold_m + 1, n + mask.offset)
+    return _row_mass(mask, _row(mask, n), threshold_m - mask.offset + 2, n + 1)
 
 
 def mirrored_tail(mask: Mask, n: int, m1: int) -> tuple[int, Fraction]:
@@ -439,8 +440,18 @@ def mirrored_tail(mask: Mask, n: int, m1: int) -> tuple[int, Fraction]:
     """
     if mask.bits[0] != 1:
         raise ValueError("mask has first bit 0; use tail_threshold and tail_probability")
-    thr = tail_threshold(mask.complement(), n, m1)
-    return thr, _row_mass(mask, n, mask.offset, n - thr + mask.offset)
+    (check,) = tail_checks(mask, _row(mask, n), (m1,))
+    return check.threshold, check.probability
+
+
+def tail_checks(mask: Mask, row, m1_values):
+    """Yield a TailCheck per m1 from unsigned row n = len(row) - 1, on mask.bits[0]'s branch."""
+    n, upper = len(row) - 1, mask.bits[0] == 0
+    for m1 in m1_values:
+        thr = tail_threshold(mask if upper else mask.complement(), n, m1)
+        lo, hi = (thr + 1, n + 1) if upper else (1, n - thr + 1)
+        prob = _row_mass(mask, row, lo, hi)
+        yield TailCheck(m1, thr, prob, exp(-m1), exp_bound_holds(prob, -m1))
 
 
 class TailCheck(NamedTuple):
@@ -481,13 +492,6 @@ def ratio_report(mask: Mask, n: int, m1_values=()) -> BoundReport:
     lam_prime = h_dot(n, comp)
     ratio = upper_ratio(mask, n, lam)
     ratio_prime = upper_ratio(comp, n, lam_prime)
-    tails = []
-    for m1 in m1_values:
-        if mask.bits[0] == 0:
-            thr = tail_threshold(mask, n, m1)
-            prob = tail_probability(mask, n, thr + mask.offset - 1)
-        else:
-            thr, prob = mirrored_tail(mask, n, m1)
-        tails.append(TailCheck(m1, thr, prob, exp(-m1), exp_bound_holds(prob, -m1)))
+    tails = tuple(tail_checks(mask, _row(mask, n), m1_values)) if m1_values else ()
     return BoundReport(lam, lam_prime, ratio, ratio_prime, exp_bound_holds(ratio, lam),
-                       exp_bound_holds(ratio_prime, lam_prime), tuple(tails))
+                       exp_bound_holds(ratio_prime, lam_prime), tails)

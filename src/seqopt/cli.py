@@ -446,12 +446,13 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
           "ocmax covers every entry, complement cross-bound included")
 
     if max_n >= 2:
-        rep = bounds.ratio_report(mask, max_n, (1, 2, 3))
+        rep = bounds.ratio_report(mask, max_n)
         check("ratio-bounds",
               rep.ratio >= 1 and rep.ratio_ok and rep.ratio_prime_ok,
               f"ratio {_fstr(rep.ratio)} and primed {_fstr(rep.ratio_prime)} within e^lambda")
+        # The tails read row max_n of the triangle under test, held in low.
         side = "upper" if mask.bits[0] == 0 else "mirrored lower"
-        check("tail-bounds", all(t.ok for t in rep.tails),
+        check("tail-bounds", all(t.ok for t in bounds.tail_checks(mask, low, (1, 2, 3))),
               f"{side} mass within e^-m1 for m1 in 1..3")
 
     if ref is not None:
@@ -521,7 +522,7 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
     # Each bound is checked and printed from its factored form, one pass of
     # the cofactors feeding both; neither builds the reduced Fraction.
     support = mask.support(n)
-    values = [numbers.value(mask, n, m) for m in support]
+    values = numbers._row(mask, n)[1:]  # the row the tails read, cached
     to_check, to_render = tee(bounds.ocmax_cofactors(mask, n))
     verdicts = bounds.ocmax_covers(report.lam, to_check, values)
     texts = _power_fraction_strs(report.lam, to_render)
@@ -549,7 +550,7 @@ def cmd_stirling(args: argparse.Namespace, out) -> int:
     for nn, (urow, wrow) in enumerate(pairs, 1):
         if urow != wrow:
             for m, (got, want) in enumerate(zip_longest(urow, wrow, fillvalue=0)):
-                if m and got != want:
+                if got != want:
                     lines.append(f"MISMATCH n={nn} m={m} triangle={_exact_str(got)} "
                                  f"reference={_exact_str(want)}")
     _write(out, "\n".join(lines or [f"OK: {n} rows identical"]) + "\n")

@@ -11,6 +11,7 @@ therefore enumerated once and grouped by record-flag vector (at most
 at a time, each combination weighted by the product of its counts.
 Every count comes from that enumeration, never from a closed form, so
 the oracle stays independent of the recurrence it is played against.
+Nothing is memoized: each call enumerates its n! permutations afresh.
 
 ``optimization_set_bruteforce`` goes one level deeper and finds a
 minimum-cardinality covering subset by raw subset search, which pins
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 from typing import NamedTuple
@@ -93,24 +93,10 @@ class Histogram(NamedTuple):
     counts: dict[int, int]
 
 
-@lru_cache(maxsize=None)
-def _flag_counts(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _flag_counts(n: int) -> Counter:
     # Every permutation of 1..n enumerated once, grouped by record-flag
     # vector: at most 2**(n - 1) vectors, since position 1 is always a record.
-    return tuple(Counter(map(_record_flags, permutations(range(1, n + 1)))).items())
-
-
-@lru_cache(maxsize=None)
-def _level_counts(n: int, columns: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # Per-row record counts over ``columns`` columns, with the number of
-    # permutation tuples that produce each level vector.
-    if columns == 0:
-        return (((0,) * n, 1),)
-    levels: Counter = Counter()
-    for level, ways in _level_counts(n, columns - 1):
-        for flags, count in _flag_counts(n):
-            levels[tuple(map(operator.add, level, flags))] += ways * count
-    return tuple(levels.items())
+    return Counter(map(_record_flags, permutations(range(1, n + 1))))
 
 
 def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
@@ -129,9 +115,17 @@ def histogram(mask: Mask, n: int, budget: int = DEFAULT_BUDGET) -> Histogram:
     if total > budget:
         raise BudgetError(
             f"enumeration needs {total} permutation tuples, over the budget of {budget}")
+    flags = _flag_counts(n).items()
+    # Level vector over the columns folded so far -> permutation tuples giving it.
+    levels = Counter({(0,) * n: 1})
+    for _ in range(mask.k):
+        levels, prev = Counter(), levels
+        for level, ways in prev.items():
+            for flag, count in flags:
+                levels[tuple(map(operator.add, level, flag))] += ways * count
     bits = mask.bits
     counts: Counter = Counter()
-    for level, ways in _level_counts(n, mask.k):
+    for level, ways in levels.items():
         counts[sum(bits[l] for l in level)] += ways
     return Histogram(dict(sorted(counts.items())))
 

@@ -13,7 +13,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import floor, isqrt, log10
+from math import factorial, floor, isqrt, log10
 from pathlib import Path
 
 import pytest
@@ -317,6 +317,25 @@ class TestVerifyGoldens:
         assert [code, hashlib.sha256(out.encode()).hexdigest()] == want
 
 
+# Exit code and SHA-256 of the --out file of commands at sizes the other
+# tests do not reach (digests recorded with Python 3.11.7): the renderer's
+# divided denominator step (bounds 1010, 0101), both tail branches (bounds
+# 0111, 1000), verify at n = 160 and at 01 n = 300, mask 000's constant
+# factors, zero cofactors and a zero lambda (verify 111, bounds 000), the
+# oracle past its default budget, and unit-weight steps in Decimal
+# (triangle 001, 110).
+@pytest.mark.parametrize("argv, want", json.loads(
+    (GOLDEN / "cli_digests.json").read_text()).items())
+def test_out_file_digest(tmp_path, argv, want):
+    path = tmp_path / "out"
+    code = cli.main([*argv.split(), "--out", str(path)])
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    assert [code, digest.hexdigest()] == want
+
+
 def check_status(results, name):
     return next(status for check, status, _ in results if check == name)
 
@@ -504,6 +523,25 @@ class TestDominanceCheck:
         assert set(statuses.values()) == {"PASS"}, statuses
 
 
+class TestTailBoundsCheck:
+    """tail-bounds reads row max_n of the triangle under test."""
+
+    @pytest.mark.parametrize("text, max_n", [("01", 60), ("10", 60), ("011", 40)])
+    def test_entry_of_the_whole_row_mass_in_the_tail_fails(self, monkeypatch, text, max_n):
+        # An entry of (n!)**k alone makes a tail mass of at least 1: the top
+        # entry for first bit 0, the bottom one for the mirrored branch.  The
+        # thresholds stay inside the support at these n.
+        def factory(mask, max_n):
+            tri = triangle(mask, max_n)
+            m = max_n - 1 + mask.offset if mask.bits[0] == 0 else mask.offset
+            tri.rows[max_n][m] = factorial(max_n) ** mask.k
+            return tri
+
+        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+        results = cli.run_verification(Mask.from_string(text), max_n)
+        assert check_status(results, "tail-bounds") == "FAIL"
+
+
 class TestHarmonicDotCheck:
     def test_one_running_sum_off_fails(self, monkeypatch):
         real = bounds.h_dots
@@ -663,18 +701,21 @@ class TestBoundsCommand:
     def test_entry_above_its_bound_fails(self, capsys, monkeypatch, end):
         # ocmax is tight at the bottom of the support: one more than the
         # bound's floor there, or at the top, must print FAIL and exit 1.
+        # The entry is raised in the unsigned row that bounds reads.
         mask, n = Mask.from_string("011"), 7
         support = mask.support(n)
         target = support[0] if end == "bottom" else support[-1]
         row = bounds.ocmax_row(mask, n)
-        real = numbers.value
+        real = numbers._row
 
-        def value(vec, nn, m):
-            if (vec, nn, m) == (mask, n, target):
-                return floor(row[m]) + 1
-            return real(vec, nn, m)
+        def unsigned_row(vec, nn):
+            urow = real(vec, nn)
+            if (vec, nn) == (mask, n):
+                u = target - mask.offset + 1
+                urow = urow[:u] + (floor(row[target]) + 1,) + urow[u + 1:]
+            return urow
 
-        monkeypatch.setattr(numbers, "value", value)
+        monkeypatch.setattr(numbers, "_row", unsigned_row)
         code, out, _ = run(capsys, "bounds", "--mask", str(mask), "--n", str(n))
         assert code == 1
         verdicts = {line.split()[1]: line.rsplit(" ", 1)[1]
@@ -776,12 +817,13 @@ class TestStirlingCommand:
         assert run(capsys, "stirling", "--n", "7") == (
             1, "MISMATCH n=4 m=5 triangle=5 reference=0\n", "")
 
-    def test_unused_slot_zero_is_not_diffed(self, capsys, monkeypatch):
-        # Slot 0 holds no entry (mask 01's support starts at m = 1), so raising
-        # it in row 3 changes no entry of the triangle and the diff stays clean.
+    def test_corrupted_slot_zero_is_diffed(self, capsys, monkeypatch):
+        # Slot 0 lies below mask 01's support, where both rows hold 0; a fold
+        # that writes there is wrong, so row 3's raised slot 0 is reported.
         rows = editing_rows(numbers._unsigned_rows, 3, lambda urow: (urow[0] + 1, *urow[1:]))
         monkeypatch.setattr(numbers, "_unsigned_rows", rows)
-        assert run(capsys, "stirling", "--n", "7") == (0, "OK: 7 rows identical\n", "")
+        assert run(capsys, "stirling", "--n", "7") == (
+            1, "MISMATCH n=3 m=0 triangle=1 reference=0\n", "")
 
     def test_streams_under_an_address_space_cap(self):
         # Rows are compared a pair at a time, so n = 800 fits in 150 MB of

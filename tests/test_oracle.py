@@ -2,10 +2,11 @@
 
 from collections import Counter
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+from seqopt import oracle
 from seqopt.numbers import Mask, triangle
 from seqopt.oracle import (
     BudgetError,
@@ -69,6 +70,17 @@ class TestBruteforce:
             for perm in permutations(range(1, n + 1)):
                 found = optimization_set_bruteforce(list(enumerate(perm, start=1)))
                 assert {i for i, _ in found} == prefix_min_records(perm)
+
+
+class TestFlagCounts:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_count_of_each_record_flag_vector(self, n):
+        # Position 1 is always a record, and each of the 2**(n-1) choices
+        # for positions 2..n occurs: a permutation has records exactly at R
+        # in prod(j - 1) ways over the positions j outside R.
+        want = {(1, *rest): prod(j - 1 for j, hit in enumerate(rest, 2) if not hit)
+                for rest in product((0, 1), repeat=n - 1)}
+        assert dict(oracle._flag_counts(n)) == want
 
 
 class TestHistogram:

@@ -137,26 +137,16 @@ def exp_bound_holds(lhs: Fraction, exponent) -> bool:
     raise RuntimeError(f"lhs is within 2**-{_CAP_BITS} of e**{x} + {MARGIN}: undecided")
 
 
-def _harmonic_sums(k: int, max_n: int):
-    """Yield [sum_{j=1..n-1} 1/j**p for p = 0..k] for n = 1..max_n, as running sums."""
+def h_dots(mask: Mask, max_n: int):
+    """Yield h_dot(n, mask), n = 1..max_n: step n adds comb(k, p) / n**p over set bits p."""
     if max_n < 1:
         raise ValueError(f"n must be >= 1, got {max_n}")
-    sums = [Fraction(0)] * (k + 1)
-    for n in range(1, max_n + 1):
-        yield sums
-        sums = [s + Fraction(1, n**p) for p, s in enumerate(sums)]
-
-
-def _dot(sums: list[Fraction], mask: Mask) -> Fraction:
-    """h_dot from one row of running sums: sum of comb(k, p) * sums[p] over the mask's bits."""
     k = mask.k
-    return sum((comb(k, p) * s for p, s in enumerate(sums) if mask.bits[p]), Fraction(0))
-
-
-def h_dots(mask: Mask, max_n: int):
-    """Yield h_dot(n, mask) for n = 1..max_n from one running harmonic sum."""
-    for sums in _harmonic_sums(mask.k, max_n):
-        yield _dot(sums, mask)
+    terms = [(comb(k, p), p) for p, bit in enumerate(mask.bits) if bit]
+    lam = Fraction(0)
+    for n in range(1, max_n + 1):
+        yield lam
+        lam += Fraction(sum(c * n ** (k - p) for c, p in terms), n**k)  # the step, over n**k
 
 
 def h_dot(n: int, mask: Mask) -> Fraction:
@@ -166,9 +156,9 @@ def h_dot(n: int, mask: Mask) -> Fraction:
     sum(f_weight(j, mask) for j in 2..n); that identity is enforced in the
     test suite and by ``verify``.
     """
-    for sums in _harmonic_sums(mask.k, n):
+    for lam in h_dots(mask, n):
         pass
-    return _dot(sums, mask)
+    return lam
 
 
 def ocmax(mask: Mask, n: int, m: int) -> Fraction:
@@ -463,10 +453,7 @@ class TailCheck(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    """One row's bounds: growth exponents, ratio and tails.
-
-    The per-entry caps are ocmax_row(mask, n), or ocmax_cofactors and lam in integers.
-    """
+    """One row's growth exponents and ratios; its per-entry caps are ocmax_row(mask, n)'s."""
 
     lam: Fraction
     lam_prime: Fraction
@@ -474,16 +461,13 @@ class BoundReport(NamedTuple):
     ratio_prime: Fraction
     ratio_ok: bool
     ratio_prime_ok: bool
-    tails: tuple[TailCheck, ...]
 
 
-def ratio_report(mask: Mask, n: int, m1_values=()) -> BoundReport:
+def ratio_report(mask: Mask, n: int) -> BoundReport:
     """Bound report for row n: exact ratios checked against e**lam.
 
     ratio is sum(ocmax)/ (n!)**k for this mask, ratio_prime the same for
-    the complement mask over the same denominator (row sums agree).  Each
-    m1 in m1_values adds a tail check on the branch this mask's first
-    bit selects.
+    the complement mask over the same denominator (row sums agree).
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -492,6 +476,5 @@ def ratio_report(mask: Mask, n: int, m1_values=()) -> BoundReport:
     lam_prime = h_dot(n, comp)
     ratio = upper_ratio(mask, n, lam)
     ratio_prime = upper_ratio(comp, n, lam_prime)
-    tails = tuple(tail_checks(mask, _row(mask, n), m1_values)) if m1_values else ()
     return BoundReport(lam, lam_prime, ratio, ratio_prime, exp_bound_holds(ratio, lam),
-                       exp_bound_holds(ratio_prime, lam_prime), tails)
+                       exp_bound_holds(ratio_prime, lam_prime))

@@ -314,9 +314,13 @@ def _sink(path: str | None):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    path = os.path.realpath(path)
+    given, path = path, os.path.realpath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        exc.filename = given  # name the file asked for, not the temporary one
+        raise
     try:
         with fh:
             yield fh
@@ -508,7 +512,8 @@ def cmd_poly(args: argparse.Namespace, out) -> int:
 
 def cmd_bounds(args: argparse.Namespace, out) -> int:
     mask, n = args.mask, args.max_n
-    report = bounds.ratio_report(mask, n, args.m1 or (1, 2, 3))
+    report = bounds.ratio_report(mask, n)
+    row = numbers._row(mask, n)  # folded once, for the values and the tails
     ok = True
 
     # Lines are written as they are rendered: the report at n = 300 is about
@@ -522,7 +527,7 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
     # Each bound is checked and printed from its factored form, one pass of
     # the cofactors feeding both; neither builds the reduced Fraction.
     support = mask.support(n)
-    values = numbers._row(mask, n)[1:]  # the row the tails read, cached
+    values = row[1:]
     to_check, to_render = tee(bounds.ocmax_cofactors(mask, n))
     verdicts = bounds.ocmax_covers(report.lam, to_check, values)
     texts = _power_fraction_strs(report.lam, to_render)
@@ -530,7 +535,7 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
         ok &= good
         line(f"m {m} ocmax {text} value {_exact_str(v)} "
              f"dominance {'PASS' if good else 'FAIL'}")
-    for t in report.tails:
+    for t in bounds.tail_checks(mask, row, args.m1 or (1, 2, 3)):
         ok &= t.ok
         line(f"tail m1 {t.m1} M {t.threshold} probability {_exact_str(t.probability)} "
              f"bound {t.bound!r} {'PASS' if t.ok else 'FAIL'}")

@@ -18,8 +18,8 @@ seeded with ``value(1, c_k) = 1``.  One row step multiplies the generating
 product ``x * prod_{j=2..n} (g_weight(j, mask)*x + g_weight(j, ~mask))`` by
 its next linear factor, so ``rising_poly`` and ``falling_poly`` read row n
 off the same row step.  Rows are folded on demand and never stored for the
-life of the process: ``triangle`` keeps the rows it returns, and ``value``
-keeps only the last few rows it was asked for.  ``explicit_row``
+life of the process: ``triangle`` keeps the rows it returns, and nothing
+else keeps a row past the call that folded it.  ``explicit_row``
 recomputes a row from the elementary-symmetric sum over the column
 weights ``f_weight``, each scaled to an integer, in one pass over the
 subsets of {2..n}; it exists, together with the exhaustive counter in
@@ -39,7 +39,6 @@ from __future__ import annotations
 from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, InvalidOperation,
                      Overflow, Rounded, localcontext)
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, prod
 from typing import NamedTuple
@@ -186,7 +185,7 @@ def _row_step(prev: tuple, gc, gp) -> tuple:
 
 
 def _unsigned_rows(mask: Mask, max_n: int, num=int):
-    """Yield unsigned rows 1..max_n as tuples of ``num`` (int or Decimal), uncached.
+    """Yield unsigned rows 1..max_n as tuples of ``num`` (int or Decimal).
 
     Row n is indexed 0..n with slot 0 unused; only the previous row is held.
     Each step runs under the exact context, entered per step and never held
@@ -204,9 +203,8 @@ def _unsigned_rows(mask: Mask, max_n: int, num=int):
         yield row
 
 
-@lru_cache(maxsize=4)
 def _row(mask: Mask, n: int) -> tuple[int, ...]:
-    """Unsigned row n alone; the last few rows asked for stay cached."""
+    """Unsigned row n alone, folded afresh on every call."""
     for row in _unsigned_rows(mask, n):
         pass
     return row

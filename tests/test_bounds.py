@@ -1,7 +1,7 @@
 """Tests for the upper bounds, tail checks and ratio bounds."""
 
 from fractions import Fraction
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from math import factorial, gcd, isqrt
 
 import mpmath
@@ -19,11 +19,12 @@ from seqopt.bounds import (
     ocmax_row,
     ocmax_tables,
     ratio_report,
+    tail_checks,
     tail_probability,
     tail_threshold,
     upper_ratio,
 )
-from seqopt.numbers import Mask, f_weight, triangle, value
+from seqopt.numbers import Mask, _row, f_weight, triangle, value
 
 
 def all_masks(max_k):
@@ -46,7 +47,8 @@ class TestHDot:
 
     def test_running_sums_match_each_row(self):
         for mask in all_masks(3):
-            assert list(h_dots(mask, 15)) == [h_dot(n, mask) for n in range(1, 16)]
+            want = accumulate((f_weight(j, mask) for j in range(2, 16)), initial=Fraction(0))
+            assert list(h_dots(mask, 15)) == list(want)
 
     def test_running_sums_validation(self):
         with pytest.raises(ValueError):
@@ -246,10 +248,10 @@ class TestRatioReport:
         assert rep.lam_prime == h_dot(6, mask.complement())
 
     def test_tail_checks_populated(self):
-        rep = ratio_report(Mask.stirling(), 6, (1, 2))
-        assert [t.m1 for t in rep.tails] == [1, 2]
-        assert all(t.ok for t in rep.tails)
-        assert all(0 <= t.probability <= 1 for t in rep.tails)
+        tails = list(tail_checks(Mask.stirling(), _row(Mask.stirling(), 6), (1, 2)))
+        assert [t.m1 for t in tails] == [1, 2]
+        assert all(t.ok for t in tails)
+        assert all(0 <= t.probability <= 1 for t in tails)
 
     def test_upper_ratio_equals_row_total(self):
         # Odd, even and power-of-two lengths split the halving sum unevenly.

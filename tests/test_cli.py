@@ -246,6 +246,8 @@ class TestExitCodes:
                            "--out", "/no-such-directory/t.csv")
         assert code == 3
         assert "error" in err
+        assert "'/no-such-directory/t.csv'" in err
+        assert ".tmp" not in err
 
     def test_corrupted_triangle_fails_verification(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting_factory)
@@ -334,6 +336,30 @@ def test_out_file_digest(tmp_path, argv, want):
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     assert [code, digest.hexdigest()] == want
+
+
+@pytest.mark.parametrize("argv, steps", [
+    ("bounds --mask 01 --n 40", 39),
+    ("bounds --mask 10 --n 40 --m1 1,2,3,4", 39),
+    ("verify --mask 011 --n 40", 78),
+    ("verify --mask 011 --n 8 --oracle", 14),
+    ("poly --mask 011 --n 40 --zeros", 39),
+    ("stirling --n 40", 39),
+    ("triangle --mask 011 --n 40 --format json", 39),
+])
+def test_each_command_folds_each_row_once(capsys, monkeypatch, argv, steps):
+    # verify folds the mask and its complement; every other command one mask.
+    calls = []
+    step = numbers._row_step
+
+    def counting_step(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(numbers, "_row_step", counting_step)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(calls) == steps
 
 
 def check_status(results, name):
@@ -992,7 +1018,8 @@ class TestExactStr:
 
     def test_bounds_past_several_splits_equal_a_builtin_str_reference(self, capsys):
         mask, n = Mask.stirling(), 150
-        rep = bounds.ratio_report(mask, n, (1, 2, 3))
+        rep = bounds.ratio_report(mask, n)
+        tails = bounds.tail_checks(mask, numbers._row(mask, n), (1, 2, 3))
         row = bounds.ocmax_row(mask, n)
         assert max(ub.numerator.bit_length() for ub in row.values()) > 2**14
         want = [f"mask {mask} k {mask.k} n {n}", f"lambda {rep.lam}",
@@ -1000,7 +1027,7 @@ class TestExactStr:
         want += [f"m {m} ocmax {row[m]} value {numbers.value(mask, n, m)} "
                  "dominance PASS" for m in mask.support(n)]
         want += [f"tail m1 {t.m1} M {t.threshold} probability {t.probability} "
-                 f"bound {t.bound!r} PASS" for t in rep.tails]
+                 f"bound {t.bound!r} PASS" for t in tails]
         want += [f"ratio {rep.ratio} (~{cli._fstr(rep.ratio)}) within e^lambda PASS",
                  f"ratio_prime {rep.ratio_prime} (~{cli._fstr(rep.ratio_prime)}) "
                  "within e^lambda_prime PASS"]

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqopt import bounds, cli
+from seqopt import bounds, cli, numbers
 from seqopt.numbers import Mask
 
 ALL_MASKS = [Mask(bits) for k in (1, 2, 3) for bits in product((0, 1), repeat=k + 1)]
@@ -128,9 +128,10 @@ def bound_inputs():
     pairs = []
     for mask in ALL_MASKS:
         for n in range(2, 61):
-            rep = bounds.ratio_report(mask, n, (1, 2, 3))
+            rep = bounds.ratio_report(mask, n)
             pairs += [(rep.ratio, rep.lam), (rep.ratio_prime, rep.lam_prime)]
-            pairs += [(t.probability, -t.m1) for t in rep.tails]
+            tails = bounds.tail_checks(mask, numbers._row(mask, n), (1, 2, 3))
+            pairs += [(t.probability, -t.m1) for t in tails]
     return pairs
 
 

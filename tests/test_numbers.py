@@ -393,13 +393,12 @@ class TestDecimalRows:
 
 
 class TestRowFoldThreads:
-    def test_concurrent_folds_and_cache_clears_give_exact_rows(self):
+    def test_concurrent_folds_and_row_reads_give_exact_rows(self):
         # Each thread folds rows 1..n_max and checks their sums, and reads
-        # rows 1..value_max back entry by entry through value() while the
-        # other threads clear value()'s row cache.  Every clear costs value()
-        # a refold, so reading all n_max rows back would take cubic time.
+        # rows 1..read_max back through _row(), which folds each afresh, so
+        # reading all n_max rows back would take cubic time.
         mask = Mask.from_string("011")
-        n_max, value_max = 400, 60
+        n_max, read_max = 400, 60
         interval = sys.getswitchinterval()
         start = threading.Barrier(4)
         bad = []
@@ -412,10 +411,8 @@ class TestRowFoldThreads:
                     fact *= n
                     if len(row) != n + 1 or sum(row) != fact**2:
                         bad.append(n)
-                    if n <= value_max:
-                        numbers._row.cache_clear()
-                        if tuple(value(mask, n, m) for m in mask.support(n)) != row[1:]:
-                            bad.append(n)
+                    if n <= read_max and numbers._row(mask, n) != row:
+                        bad.append(n)
             except Exception as exc:  # reported through the assertion below
                 bad.append(exc)
 

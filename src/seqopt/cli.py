@@ -2,13 +2,14 @@
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 3 I/O error.  Identical invocations produce byte-identical output.
-``triangle`` streams its rows to the output as they are computed,
-``stirling`` diffs its rows against the reference one pair at a time, and
-``verify`` updates every per-row check from row n of the mask and of its
-complement, holding that pair and the cofactor tables built for row
-``--n`` (about 19 MiB at ``--n 600``, where two whole triangles took 130
-MiB).  ``--out`` is written through a temporary file in the target's
-directory that replaces the target only once the command has finished.
+Each row fold holds one row and updates it in place.  ``triangle``
+renders each row from that buffer as it is computed, ``stirling`` diffs
+the two live rows of the mask fold and the reference fold, and ``verify``
+updates every per-row check from row n of the mask and of its complement,
+holding that pair and the cofactor tables built for row ``--n`` (about 19
+MiB at ``--n 600``, where two whole triangles took 130 MiB).  ``--out``
+is written through a temporary file in the target's directory that
+replaces the target only once the command has finished.
 Exact integers and rationals that a command computes are rendered through
 ``_exact_str``: a divide-and-conquer conversion to ``decimal.Decimal``,
 whose string takes linear time where ``str(int)`` before Python 3.12 takes
@@ -40,11 +41,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Test hook.  Left as numbers.triangle, ``verify`` streams numbers._unsigned_rows
-# and holds one row pair plus the cofactor tables for row --n (130 -> about 19
-# MiB at n = 600); a replacement factory(mask, max_n) returns a Triangle whose
-# rows[n] verify reads once each, in increasing n.  ``stirling`` and
-# ``triangle`` stream numbers._unsigned_rows too, the latter in Decimal.
+# Test hook.  Left as numbers.triangle, ``verify`` folds numbers._unsigned_rows
+# in place for the mask and its complement, and holds those two rows plus the
+# cofactor tables for row --n (130 -> about 19 MiB at n = 600); a replacement
+# factory(mask, max_n) returns a Triangle whose rows[n] verify reads once each,
+# in increasing n.  ``stirling`` and ``triangle`` read the in-place fold too,
+# the latter in Decimal.
 _TRIANGLE_FACTORY = numbers.triangle
 
 __all__ = [
@@ -478,8 +480,10 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 # ----------------------------------------------------------------- commands
 
 def cmd_triangle(args: argparse.Namespace, out) -> int:
+    # Each row's cells are rendered from the live buffer before the fold resumes.
+    off = args.mask.offset - 1
     urows = numbers._unsigned_rows(args.mask, args.max_n, Decimal)
-    rows = ((n, numbers.row_entries(args.mask, urow).items())
+    rows = ((n, ((u + off, c) for u, c in enumerate(urow) if u and c))
             for n, urow in enumerate(urows, 1))
     for text in _chunks(args.fmt, args.mask, rows):
         _write(out, text)
@@ -550,7 +554,7 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
 def cmd_stirling(args: argparse.Namespace, out) -> int:
     n = args.max_n
     lines = []
-    # Both are int tuples indexed by m = 0..n: mask 01's support starts at 1.
+    # Both are live int lists indexed by m = 0..n: mask 01's support starts at 1.
     pairs = zip(numbers._unsigned_rows(numbers.Mask.stirling(), n), numbers._stirling_rows(n))
     for nn, (urow, wrow) in enumerate(pairs, 1):
         if urow != wrow:

@@ -18,12 +18,15 @@ seeded with ``value(1, c_k) = 1``.  One row step multiplies the generating
 product ``x * prod_{j=2..n} (g_weight(j, mask)*x + g_weight(j, ~mask))`` by
 its next linear factor, so ``rising_poly`` and ``falling_poly`` read row n
 off the same row step.  Rows are folded on demand and never stored for the
-life of the process: ``triangle`` keeps the rows it returns, and nothing
-else keeps a row past the call that folded it.  ``explicit_row``
-recomputes a row from the elementary-symmetric sum over the column
-weights ``f_weight``, each scaled to an integer, in one pass over the
-subsets of {2..n}; it exists, together with the exhaustive counter in
-``seqopt.oracle``, as an independent route to the same integers.
+life of the process.  A fold holds one row, a list that each step updates
+in place from the top slot down, and yields that same list every time: a
+yielded row is valid until the fold resumes, so ``triangle`` and ``_row``
+copy what they keep, and nothing else keeps a row past the call that
+folded it.  ``explicit_row`` recomputes a row from the elementary-symmetric
+sum over the column weights ``f_weight``, each scaled to an integer, in
+one pass over the subsets of {2..n}; it exists, together with the
+exhaustive counter in ``seqopt.oracle``, as an independent route to the
+same integers.
 
 All arithmetic is exact: counts are Python ints, weights are
 ``fractions.Fraction``; nothing here ever rounds.  One row fold,
@@ -166,51 +169,59 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                  traps=[Inexact, Rounded, Overflow, InvalidOperation])
 
 
-def _row_step(prev: tuple, gc, gp) -> tuple:
-    """Unsigned row n + 1 from row n: slot u is gc * prev[u-1] + gp * prev[u].
+def _row_step(row: list, gc, gp) -> None:
+    """Turn unsigned row n into row n + 1 in place: slot u becomes gc * row[u-1] + gp * row[u].
 
     ``gc`` and ``gp`` are g_weight(n+1, mask) and g_weight(n+1, ~mask) of
     the same numeric type as the row; slot 0 holds that type's zero and
-    stands in for the missing neighbours at both ends.  A weight of 1 is
+    stands in for the missing neighbours at both ends.  The pass runs from
+    the top slot down, so each old value is read before it is overwritten
+    and the old row is never held beside the new one.  A weight of 1 is
     added, not multiplied: on big entries a product by 1 costs as much as
-    the other product.  When gp is 1, the weights and the neighbours swap
-    places so that one sum serves both cases.
+    the other product.
     """
-    lo, hi = prev, prev[1:] + prev[:1]
-    if gp == 1:
-        gc, gp, lo, hi = gp, gc, hi, lo
+    top = len(row)
+    row.append(row[0])
     if gc == 1:
-        return (prev[0], *[a + gp * b for a, b in zip(lo, hi)])
-    return (prev[0], *[gc * a + gp * b for a, b in zip(lo, hi)])
+        for u in range(top, 0, -1):
+            row[u] = row[u - 1] + gp * row[u]
+    elif gp == 1:
+        for u in range(top, 0, -1):
+            row[u] = gc * row[u - 1] + row[u]
+    else:
+        for u in range(top, 0, -1):
+            row[u] = gc * row[u - 1] + gp * row[u]
 
 
 def _unsigned_rows(mask: Mask, max_n: int, num=int):
-    """Yield unsigned rows 1..max_n as tuples of ``num`` (int or Decimal).
+    """Yield unsigned rows 1..max_n as one list of ``num`` (int or Decimal).
 
-    Row n is indexed 0..n with slot 0 unused; only the previous row is held.
-    Each step runs under the exact context, entered per step and never held
-    in the caller across a ``yield``.
+    Row n is indexed 0..n with slot 0 unused.  The same list is yielded at
+    every step and folded in place into the next row: a yielded row is
+    valid until the generator resumes, and a consumer copies whatever it
+    keeps.  Each step runs under the exact context, entered per step and
+    never held in the caller across a ``yield``.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     comp = mask.complement()
-    row = (num(0), num(1))
+    row = [num(0), num(1)]
     yield row
     for n in range(1, max_n):
         gc, gp = num(g_weight(n + 1, mask)), num(g_weight(n + 1, comp))
         with localcontext(_EXACT):
-            row = _row_step(row, gc, gp)
+            _row_step(row, gc, gp)
         yield row
 
 
 def _row(mask: Mask, n: int) -> tuple[int, ...]:
-    """Unsigned row n alone, folded afresh on every call."""
+    """Unsigned row n alone as a tuple, folded afresh on every call."""
     for row in _unsigned_rows(mask, n):
         pass
-    return row
+    return tuple(row)
 
 
-def row_entries(mask: Mask, urow: tuple) -> dict:
+def row_entries(mask: Mask, urow) -> dict:
     """Nonzero entries ``{m: value}`` of one unsigned row, in increasing m."""
     off = mask.offset - 1
     return {u + off: c for u, c in enumerate(urow) if u >= 1 and c}
@@ -349,20 +360,24 @@ def poly_zeros(mask: Mask, n: int, kind: str = "rising") -> list[Fraction | None
 
 
 def _stirling_rows(max_n: int):
-    """Yield rows 1..max_n of the classic unsigned Stirling numbers as int tuples.
+    """Yield rows 1..max_n of the classic unsigned Stirling numbers as one int list.
 
-    Row n is (s(n, 0), ..., s(n, n)) with s(n, 0) = 0, from the textbook
-    recurrence s(n+1, m) = s(n, m-1) + n*s(n, m) with s(1, 1) = 1; only
-    the previous row is held.  Kept deliberately separate from the row
-    step and the weights so that the two can be diffed as independent
-    computations.
+    Row n is [s(n, 0), ..., s(n, n)] with s(n, 0) = 0, from the textbook
+    recurrence s(n+1, m) = s(n, m-1) + n*s(n, m) with s(1, 1) = 1, run in
+    place from the top m down.  As in ``_unsigned_rows``, the same list is
+    yielded at every step: a yielded row is valid until the generator
+    resumes, and a consumer copies whatever it keeps.  Kept deliberately
+    separate from the row step and the weights so that the two can be
+    diffed as independent computations.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    row = (0, 1)
+    row = [0, 1]
     yield row
     for n in range(1, max_n):
-        row = tuple(lo + n * hi for lo, hi in zip((0, *row), (*row, 0)))
+        row.append(0)
+        for m in range(n + 1, 0, -1):
+            row[m] = row[m - 1] + n * row[m]
         yield row
 
 

@@ -45,21 +45,22 @@ def corrupting_factory(mask, max_n):
 def corrupting_rows(rows_of, target=None):
     """Wrap a row generator so that the first entry of row ``target`` gains 1.
 
-    ``target`` defaults to the last row, which is the entry corrupting_factory
-    changes in a whole triangle.
+    The edited row is a copy: writing into the fold's live row would change
+    every row after it.  ``target`` defaults to the last row, which is the
+    entry corrupting_factory changes in a whole triangle.
     """
     def rows(mask, max_n):
         bad = max_n if target is None else target
         for n, urow in enumerate(rows_of(mask, max_n), 1):
             if n == bad:
                 u = next(u for u, c in enumerate(urow) if u and c)
-                urow = urow[:u] + (urow[u] + 1,) + urow[u + 1:]
+                urow = [*urow[:u], urow[u] + 1, *urow[u + 1:]]
             yield urow
     return rows
 
 
 def editing_rows(rows_of, target, edit):
-    """Wrap a row generator so that row ``target`` is replaced by ``edit(row)``."""
+    """Wrap a row generator so that row ``target`` is replaced by ``edit(row)``, a copy."""
     def rows(mask, max_n):
         for n, urow in enumerate(rows_of(mask, max_n), 1):
             yield edit(urow) if n == target else urow
@@ -838,7 +839,7 @@ class TestStirlingCommand:
     def test_trailing_slot_past_the_reference_row(self, capsys, monkeypatch):
         # Row 4 gains a nonzero slot m = 5 that the reference row 4 lacks; a
         # diff that stops at the end of the shorter row misses it.
-        rows = editing_rows(numbers._unsigned_rows, 4, lambda urow: urow + (5,))
+        rows = editing_rows(numbers._unsigned_rows, 4, lambda urow: [*urow, 5])
         monkeypatch.setattr(numbers, "_unsigned_rows", rows)
         assert run(capsys, "stirling", "--n", "7") == (
             1, "MISMATCH n=4 m=5 triangle=5 reference=0\n", "")
@@ -846,7 +847,7 @@ class TestStirlingCommand:
     def test_corrupted_slot_zero_is_diffed(self, capsys, monkeypatch):
         # Slot 0 lies below mask 01's support, where both rows hold 0; a fold
         # that writes there is wrong, so row 3's raised slot 0 is reported.
-        rows = editing_rows(numbers._unsigned_rows, 3, lambda urow: (urow[0] + 1, *urow[1:]))
+        rows = editing_rows(numbers._unsigned_rows, 3, lambda urow: [urow[0] + 1, *urow[1:]])
         monkeypatch.setattr(numbers, "_unsigned_rows", rows)
         assert run(capsys, "stirling", "--n", "7") == (
             1, "MISMATCH n=3 m=0 triangle=1 reference=0\n", "")

@@ -3,6 +3,7 @@
 import decimal
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -338,7 +339,7 @@ class TestStirlingRef:
     def test_streamed_rows_match_triangle(self):
         # Row n is the int tuple s(n, 0..n), laid out as mask 01's unsigned row.
         tri = triangle(Mask.stirling(), 60)
-        rows = list(numbers._stirling_rows(60))
+        rows = [tuple(row) for row in numbers._stirling_rows(60)]
         assert [len(row) for row in rows] == [n + 1 for n in range(1, 61)]
         assert all(row[0] == 0 for row in rows)
         assert [dict(enumerate(row[1:], 1)) for row in rows] == [tri.row(n) for n in range(1, 61)]
@@ -363,8 +364,8 @@ class TestDecimalRows:
         # unit-weight branches (gc == 1 for 01, 001, 0001; gp == 1 for 10,
         # 110, 1110) and its zero weights (00..0, 11..1).
         want = list(multiplying_rows(mask, 30))
-        assert list(numbers._unsigned_rows(mask, 30)) == want
-        rows = list(numbers._unsigned_rows(mask, 30, decimal.Decimal))
+        assert [tuple(row) for row in numbers._unsigned_rows(mask, 30)] == want
+        rows = [tuple(row) for row in numbers._unsigned_rows(mask, 30, decimal.Decimal)]
         assert all(type(c) is decimal.Decimal for row in rows for c in row)
         assert [tuple(map(str, row)) for row in rows] == [tuple(map(str, row)) for row in want]
 
@@ -392,6 +393,35 @@ class TestDecimalRows:
             next(numbers._unsigned_rows(Mask.stirling(), 0, decimal.Decimal))
 
 
+def fold_peak_ratio(rows):
+    """Peak traced memory over one pass of ``rows``, over the final row's entry sizes.
+
+    Each row is read and dropped.  A fold that builds row n + 1 beside row
+    n peaks near 2; one that updates a single row in place near 1.
+    """
+    tracemalloc.start()
+    try:
+        for row in rows:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / sum(map(sys.getsizeof, row))
+
+
+class TestOneRowFold:
+    # 01 takes the gc == 1 branch of the row step, 10 the gp == 1 branch and
+    # 011 the general one; ratios at n = 300 read 1.04-1.10.
+    @pytest.mark.parametrize("num", [int, decimal.Decimal], ids=["int", "Decimal"])
+    @pytest.mark.parametrize("text", ["01", "10", "011"])
+    def test_unsigned_rows_hold_one_row(self, text, num):
+        rows = numbers._unsigned_rows(Mask.from_string(text), 300, num)
+        assert fold_peak_ratio(rows) < 1.5
+
+    def test_stirling_rows_hold_one_row(self):
+        assert fold_peak_ratio(numbers._stirling_rows(300)) < 1.5
+
+
 class TestRowFoldThreads:
     def test_concurrent_folds_and_row_reads_give_exact_rows(self):
         # Each thread folds rows 1..n_max and checks their sums, and reads
@@ -411,7 +441,7 @@ class TestRowFoldThreads:
                     fact *= n
                     if len(row) != n + 1 or sum(row) != fact**2:
                         bad.append(n)
-                    if n <= read_max and numbers._row(mask, n) != row:
+                    if n <= read_max and numbers._row(mask, n) != tuple(row):
                         bad.append(n)
             except Exception as exc:  # reported through the assertion below
                 bad.append(exc)

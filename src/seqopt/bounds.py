@@ -14,15 +14,15 @@ In integers, with lam = a/b and G_s = prod_{j=2..s+1} g_weight(j, ~mask)
 (so that the f_weight product above is G_{n-t} / ((n-t)!)**k), the bound
 at position t is A_t / B_t with
 
-    A_t = a**(t-1) * P_t,  P_t = ((n-1)!)**k * G_{n-t}
-    B_t = b**(t-1) * Q_t,  Q_t = (t-1)! * ((n-t)!)**k
+    A_t = a**(t-1) * P_t,  P_t = ((n-1)!/(n-t)!)**k * G_{n-t}
+    B_t = b**(t-1) * Q_t,  Q_t = (t-1)!
 
-The cofactors P_t and Q_t stay a few thousand bits long at n = 300,
-while a**(t-1) and b**(t-1) reach a hundred thousand bits or more: lam's
-numerator and denominator are themselves hundreds of bits long.
-``ocmax_cofactors`` yields (P_t, Q_t) from the tables G_s and (s!)**k of
-``ocmax_tables``, which a caller builds for the largest row it reads
-(``upper_ratio`` builds its own).
+P_t and Q_t stay at most 2034 bits long for mask 01 at n = 300 (5755
+and 2878 bits for 011 at n = 400), while a**(t-1) and b**(t-1) reach a
+hundred thousand bits or more: lam's numerator and denominator are
+themselves hundreds of bits long.  ``ocmax_cofactors`` yields (P_t, Q_t)
+from the table G_s of ``ocmax_tables``, which a caller builds for the
+largest row it reads.
 ``ocmax_covers`` decides A_t >= v * B_t without the powers for most
 entries: with e = max(bits(x) - 64, 0) and T = x >> e, the 64-bit powers
 T**s and (T+1)**s bound bits(x**s) from below and above, exactly when
@@ -181,35 +181,35 @@ def ocmax(mask: Mask, n: int, m: int) -> Fraction:
     return Fraction(factorial(n - 1) ** mask.k, factorial(t - 1)) * lam ** (t - 1) * tail
 
 
-def ocmax_tables(mask: Mask, n: int) -> tuple[list[int], list[int]]:
-    """(G, F) for s = 0..n-1: G[s] = prod_{j=2..s+1} g_weight(j, ~mask), F[s] = (s!)**k.
+def ocmax_tables(mask: Mask, n: int) -> list[int]:
+    """G for s = 0..n-1: G[s] = prod_{j=2..s+1} g_weight(j, ~mask).
 
     G_s is (s!)**k times the product of f_weight(j, ~mask) over the same j.
-    Row n's tables are the first n items of any longer row's, so one pair
+    Row n's table is the first n items of any longer row's, so one table
     built at the largest n serves every smaller row.
     """
-    comp, k = mask.complement(), mask.k
-    su, fk = [1] * n, [1] * n
+    comp = mask.complement()
+    g = [1] * n
     for s in range(1, n):
-        su[s] = su[s - 1] * g_weight(s + 1, comp)
-        fk[s] = fk[s - 1] * s**k
-    return su, fk
+        g[s] = g[s - 1] * g_weight(s + 1, comp)
+    return g
 
 
 def ocmax_cofactors(mask: Mask, n: int, tables=None):
     """Yield row n's power-free parts (P_t, Q_t), t = 1..n.
 
-    P_t = ((n-1)!)**k * G_{n-t} and Q_t = (t-1)! * ((n-t)!)**k, so that
-    ocmax at support position t is lam**(t-1) * P_t / Q_t with lam =
-    h_dot(n, mask); see the module docstring.  tables is
-    ocmax_tables(mask, N) for some N >= n, built here when omitted.
+    P_t = ((n-1)!/(n-t)!)**k * G_{n-t} and Q_t = (t-1)!, so that ocmax at
+    support position t is lam**(t-1) * P_t / Q_t with lam = h_dot(n,
+    mask); see the module docstring.  tables is ocmax_tables(mask, N) for
+    some N >= n, built here when omitted.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    su, fk = tables or ocmax_tables(mask, n)
-    fact = 1  # (t-1)!
+    g, k = tables or ocmax_tables(mask, n), mask.k
+    fall, fact = 1, 1  # ((n-1)!/(n-t)!)**k and (t-1)!
     for t in range(1, n + 1):
-        yield fk[n - 1] * su[n - t], fact * fk[n - t]
+        yield fall * g[n - t], fact
+        fall *= (n - t) ** k
         fact *= t
 
 
@@ -281,8 +281,9 @@ def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
 
     Same value as sum(ocmax_row(mask, n).values()) / (n!)**k but
     assembled on a single integer common denominator, whose numerator
-    is summed by halving (see the module docstring).  lam, if given, must
-    be h_dot(n, mask); it is computed when omitted.
+    is summed by halving (see the module docstring) from the terms of
+    ocmax_cofactors.  lam, if given, must be h_dot(n, mask); it is
+    computed when omitted.
 
     The numerator acc is reduced over its denominator S * b**(n-1), S =
     (n-1)! * (n!)**k, by g = gcd(acc, S), whose short operand makes it
@@ -292,24 +293,19 @@ def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    k = mask.k
     if lam is None:
         lam = h_dot(n, mask)
     a, b = lam.numerator, lam.denominator
-    su, _ = ocmax_tables(mask, n)
     fact_n1 = factorial(n - 1)
-    # cs[t-1] scales term t onto the common denominator (n-1)! * b**(n-1) * (n!)**k
-    cs = [0] * n
-    q1 = fact_n1  # (n-1)!/(t-1)!
-    q2 = 1        # (n-1)!/(n-t)!
-    for t in range(1, n + 1):
-        cs[t - 1] = su[n - t] * q1 * q2**k
-        q1 //= t
-        q2 *= n - t
+    # cs[t-1] = P_t * q, q = (n-1)!/(t-1)!, is term t over (n-1)! * b**(n-1) * (n!)**k
+    cs, q = [], fact_n1
+    for t, (p, _) in enumerate(ocmax_cofactors(mask, n), 1):
+        cs.append(p * q)
+        q //= t
     bpow = _powers(b)
     acc, b_pow = _power_sum(cs, _powers(a), bpow, 0, n), bpow(n - 1)
     # gcd(x, y * z) = gcd(x, y) * gcd(x / gcd(x, y), z), for y = small, z = b**(n-1).
-    small = fact_n1 * factorial(n) ** k
+    small = fact_n1 * factorial(n) ** mask.k
     g = gcd(acc, small)
     acc, small = acc // g, small // g
     if gcd(acc, b) != 1:

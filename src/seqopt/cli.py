@@ -7,9 +7,9 @@ renders each row from that buffer as it is computed, ``stirling`` diffs
 the two live rows of the mask fold and the reference fold, and ``verify``
 updates every per-row check from row n of the mask and of its complement,
 holding that pair and the cofactor tables built for row ``--n`` (about 19
-MiB at ``--n 600``, where two whole triangles took 130 MiB).  ``--out``
-is written through a temporary file in the target's directory that
-replaces the target only once the command has finished.
+MiB at ``--n 600``).  ``--out`` is written through a temporary file in the
+target's directory that replaces the target only once the command has
+finished.
 Exact integers and rationals that a command computes are rendered through
 ``_exact_str``: a divide-and-conquer conversion to ``decimal.Decimal``,
 whose string takes linear time where ``str(int)`` before Python 3.12 takes
@@ -43,7 +43,7 @@ EXIT_IO = 3
 
 # Test hook.  Left as numbers.triangle, ``verify`` folds numbers._unsigned_rows
 # in place for the mask and its complement, and holds those two rows plus the
-# cofactor tables for row --n (130 -> about 19 MiB at n = 600); a replacement
+# cofactor tables for row --n (about 19 MiB at n = 600); a replacement
 # factory(mask, max_n) returns a Triangle whose rows[n] verify reads once each,
 # in increasing n.  ``stirling`` and ``triangle`` read the in-place fold too,
 # the latter in Decimal.
@@ -318,17 +318,20 @@ def _sink(path: str | None):
         return
     given, path = path, os.path.realpath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    # An error about the temporary file names the file asked for, alone.
     try:
         fh = open(tmp, "x", encoding="utf-8")
     except OSError as exc:
-        exc.filename = given  # name the file asked for, not the temporary one
-        raise
+        raise type(exc)(exc.errno, exc.strerror, given) from None
     try:
         with fh:
             yield fh
-        if os.path.exists(path):
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        os.replace(tmp, path)
+        try:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, given) from None
     except BaseException:
         os.unlink(tmp)
         raise
@@ -378,7 +381,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
     poly_ok = numbers.poly_zeros(mask, max_n, "falling") == [
         None if z is None else -z for z in zeros]
     low = [1]
-    # Each mask's cofactor tables are built once, for row max_n.
+    # Each mask's cofactor table is built once, for row max_n.
     tables, comp_tables = bounds.ocmax_tables(mask, max_n), bounds.ocmax_tables(comp, max_n)
     ref = numbers._stirling_rows(max_n) if mask.bits == (0, 1) else None
     sums_ok = sym_ok = support_ok = explicit_ok = dot_ok = dom_ok = ref_ok = True

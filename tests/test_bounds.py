@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import accumulate, islice, product
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 
 import mpmath
 import pytest
@@ -24,7 +24,7 @@ from seqopt.bounds import (
     tail_threshold,
     upper_ratio,
 )
-from seqopt.numbers import Mask, _row, f_weight, triangle, value
+from seqopt.numbers import Mask, _row, f_weight, g_weight, triangle, value
 
 
 def all_masks(max_k):
@@ -84,8 +84,9 @@ class TestOcmax:
 
     def test_integer_pairs_equal_the_row(self):
         # ocmax_row is the Fraction view of these factors, so the reference
-        # is the closed form, entry by entry.  Every row shares the tables
-        # built for the largest one.
+        # is the closed form, entry by entry.  Every row shares the table
+        # built for the largest one.  Q_t is (t-1)!, and the bound is exact
+        # at t = 1, so P_1 is the bottom entry itself.
         for mask in all_masks(3):
             tables = ocmax_tables(mask, 15)
             for n in range(1, 16):
@@ -93,6 +94,8 @@ class TestOcmax:
                 a, b = lam.numerator, lam.denominator
                 pairs = list(ocmax_cofactors(mask, n, tables))
                 assert pairs == list(ocmax_cofactors(mask, n))
+                assert [q for _, q in pairs] == [factorial(t) for t in range(n)]
+                assert pairs[0][0] == value(mask, n, mask.offset)
                 got = {s + mask.offset: Fraction(a**s * p, b**s * q)
                        for s, (p, q) in enumerate(pairs)}
                 assert got == {m: ocmax(mask, n, m) for m in mask.support(n)}
@@ -101,18 +104,21 @@ class TestOcmax:
         mask = Mask.from_string("011")
         n, k = 6, mask.k
         lam = h_dot(n, mask)
+        comp = mask.complement()
+        g = [prod(g_weight(j, comp) for j in range(2, s + 2)) for s in range(n)]
+        assert ocmax_tables(mask, n) == g
         for t, (p, q) in enumerate(ocmax_cofactors(mask, n), 1):
-            assert q == factorial(t - 1) * factorial(n - t) ** k
+            assert q == factorial(t - 1)
+            assert p == (factorial(n - 1) // factorial(n - t)) ** k * g[n - t]
             assert Fraction(p, q) * lam ** (t - 1) == ocmax(mask, n, t + mask.offset - 1)
         with pytest.raises(ValueError):
             next(ocmax_cofactors(mask, 0))
 
     def test_integer_pairs_are_unreduced(self):
-        # P_1 = ((n-1)!)**k * G_{n-1} and Q_1 = ((n-1)!)**k: no gcd was taken.
+        # P_1 = ((n-1)!/(n-1)!)**k * G_{n-1} = G_{n-1} and Q_1 = 0! = 1: the
+        # bound at t = 1 is the exact bottom entry, and no gcd was taken.
         mask = Mask.from_string("011")
-        p, q = next(ocmax_cofactors(mask, 5))
-        assert q == factorial(4) ** 2
-        assert p == q * value(mask, 5, mask.offset)
+        assert next(ocmax_cofactors(mask, 5)) == (value(mask, 5, mask.offset), 1)
 
     def test_cross_dominance_through_complement(self):
         for mask in all_masks(2):

@@ -250,6 +250,20 @@ class TestExitCodes:
         assert "'/no-such-directory/t.csv'" in err
         assert ".tmp" not in err
 
+    def test_out_naming_the_working_directory_is_an_io_error(self, capsys, monkeypatch,
+                                                             tmp_path):
+        # --out '' resolves to the working directory, which no file can
+        # replace; the error names the path as given and no temporary file.
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        code, out, err = run(capsys, "stirling", "--n", "3", "--out", "")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(": ''\n")
+        assert ".tmp" not in err and " -> " not in err
+        assert os.listdir(tmp_path) == ["sub"]
+        assert os.listdir(tmp_path / "sub") == []
+
     def test_corrupted_triangle_fails_verification(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting_factory)
         code, out, _ = run(capsys, "verify", "--mask", "01", "--n", "6")

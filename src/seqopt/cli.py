@@ -7,9 +7,10 @@ renders each row from that buffer as it is computed, ``stirling`` diffs
 the two live rows of the mask fold and the reference fold, and ``verify``
 updates every per-row check from row n of the mask and of its complement,
 holding that pair and the cofactor tables built for row ``--n`` (about 19
-MiB at ``--n 600``).  ``--out`` is written through a temporary file in the
-target's directory that replaces the target only once the command has
-finished.
+MiB at ``--n 600``).  ``--out`` naming a regular file or a new name is
+written through a temporary file beside it that replaces it only once the
+command has finished; a device or pipe is written in place, and a name
+``open`` refuses (``''``, a directory, ``file/``) exits 3 before any work.
 Exact integers and rationals that a command computes are rendered through
 ``_exact_str``: a divide-and-conquer conversion to ``decimal.Decimal``,
 whose string takes linear time where ``str(int)`` before Python 3.12 takes
@@ -300,40 +301,37 @@ def _fstr(x: Fraction) -> str:
 
 @contextmanager
 def _sink(path: str | None):
-    """Stdout, or for a file ``path`` a temporary file that replaces it on success.
+    """Stdout, or the file ``path``, replaced on success if it is regular or new.
 
-    A symlink is followed, so the file it names is the target.  The
-    temporary file sits in the target's directory, so ``os.replace`` is
-    atomic, and it takes an existing target's permission bits; if the
-    command raises, it is deleted and the target keeps its old contents.
+    A regular file or a new name in an existing directory is written to a
+    temporary file beside the file it names (through any symlink); that
+    takes the old file's permission bits and replaces it once the command
+    has finished, or is deleted if the command raises.  Any other name is
+    opened in place: a device or pipe is written as it is, and ``''``, a
+    directory or a name ending in a separator fails before the command runs.
     """
     if path is None:
         yield sys.stdout
         return
-    if os.path.exists(path) and not os.path.isfile(path):
-        # A device or pipe, such as /dev/null, cannot be replaced: write it
-        # in place.  A directory fails here with an OSError, as it should.
+    if not (os.path.isfile(path) or (path and not os.path.exists(path)
+                                     and os.path.isdir(os.path.dirname(path) or "."))):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    given, path = path, os.path.realpath(path)
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    # An error about the temporary file names the file asked for, alone.
+    target = os.path.realpath(path)
+    tmp, fh = f"{target}.{os.urandom(6).hex()}.tmp", None
     try:
-        fh = open(tmp, "x", encoding="utf-8")
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, given) from None
-    try:
-        with fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             yield fh
-        try:
-            if os.path.exists(path):
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise type(exc)(exc.errno, exc.strerror, given) from None
-    except BaseException:
-        os.unlink(tmp)
+        if os.path.exists(target):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if fh is not None:
+            os.unlink(tmp)
+        # An error about the temporary file names the file asked for, alone.
+        if getattr(exc, "filename", None) == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -264,6 +264,29 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["sub"]
         assert os.listdir(tmp_path / "sub") == []
 
+    @pytest.mark.parametrize("name", ["", "new/", "keep.txt/", "keep.txt/.", "missing/../x"])
+    def test_out_that_open_refuses_exits_before_the_command_runs(self, capsys, monkeypatch,
+                                                                 tmp_path, name):
+        # Each name fails in open() as given, so the command never runs and
+        # nothing under tmp_path is created, changed or deleted.
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "keep.txt").write_bytes(b"known bytes\n")
+        monkeypatch.chdir(tmp_path / "sub" if name == "" else tmp_path)
+        calls = []
+        monkeypatch.setitem(cli._HANDLERS, "stirling", lambda args, out: calls.append(args) or 0)
+
+        def tree():
+            return {str(p): p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+        before = tree()
+        code, out, err = run(capsys, "stirling", "--n", "3", "--out", name)
+        assert code == 3
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]*: " + re.escape(repr(name)) + "\n", err)
+        assert ".tmp" not in err
+        assert calls == []
+        assert tree() == before
+
     def test_corrupted_triangle_fails_verification(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting_factory)
         code, out, _ = run(capsys, "verify", "--mask", "01", "--n", "6")

@@ -193,6 +193,28 @@ class TestTailThreshold:
         with pytest.raises(RuntimeError, match="undecided"):
             bounds.tail_threshold(Mask.stirling(), 10, 1)
 
+    def test_doubles_the_precision_until_the_ceiling_settles(self, monkeypatch):
+        # 64 bits settle every ceiling at once; from 4 bits the loop must
+        # double through 8 and 16 to the same answer.
+        cases = [(mask, n) for mask in ALL_MASKS if mask.bits[0] == 0 for n in (2, 10, 300)]
+        assert len(cases) == 42
+        want = [bounds.tail_threshold(mask, n, 1) for mask, n in cases]
+        real, seen, widths = bounds._exp_bounds, [], set()
+
+        def spy(x, bits):
+            seen.append(bits)
+            if len(seen) > 20:  # a broken doubling would loop forever
+                raise AssertionError(f"precision never settled: {seen}")
+            return real(x, bits)
+
+        monkeypatch.setattr(bounds, "_START_BITS", 4)
+        monkeypatch.setattr(bounds, "_exp_bounds", spy)
+        for (mask, n), w in zip(cases, want):
+            seen.clear()
+            assert bounds.tail_threshold(mask, n, 1) == w, (str(mask), n)
+            widths.update(seen)
+        assert {4, 8, 16} <= widths
+
 
 # ----------------------------------------------------------------------- _fstr
 
@@ -247,6 +269,16 @@ class TestFstr:
     ], ids=str)
     def test_layout(self, x, text):
         assert cli._fstr(x) == text
+
+    @pytest.mark.parametrize("e", [13301, 26602, 37767])
+    def test_exponents_where_the_binary_estimate_is_one_too_high(self, e):
+        # (bits - 1) * 30103 // 100000 exceeds floor(log10 2**e) here, so the
+        # digit loop must step the decimal exponent down.
+        assert 10 ** (e * 30103 // 100000) > 2**e
+        assert cli._fstr(Fraction(2**e)) == mp_nstr(Fraction(2**e))
+
+    def test_first_exponent_where_the_binary_estimate_is_one_too_high(self):
+        assert cli._fstr(Fraction(2**13301)) == "9.99936e+4003"
 
     def test_large_ratio_preview(self):
         assert cli._fstr(bounds.upper_ratio(Mask.from_string("10"), 300)) == "1.49091e+126"

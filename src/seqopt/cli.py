@@ -5,9 +5,10 @@ Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 Each row fold holds one row and updates it in place.  ``triangle``
 renders each row from that buffer as it is computed, ``stirling`` diffs
 the two live rows of the mask fold and the reference fold, and ``verify``
-updates every per-row check from row n of the mask and of its complement,
-holding that pair and the cofactor tables built for row ``--n`` (about 19
-MiB at ``--n 600``).  ``--out`` naming a regular file or a new name is
+updates every per-row check from the slot lists of row n of the mask and
+of its complement, whole, slot 0 and length included (a test factory's
+``Triangle`` rows are laid onto slots first), holding that pair and the
+cofactor tables built for row ``--n`` (about 19 MiB at ``--n 600``).  ``--out`` naming a regular file or a new name is
 written through a temporary file beside it that replaces it only once the
 command has finished; a device or pipe is written in place, and a name
 ``open`` refuses (``''``, a directory, ``file/``) exits 3 before any work.
@@ -42,11 +43,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Test hook.  Left as numbers.triangle, ``verify`` folds numbers._unsigned_rows
-# in place for the mask and its complement, and holds those two rows plus the
-# cofactor tables for row --n (about 19 MiB at n = 600); a replacement
-# factory(mask, max_n) returns a Triangle whose rows[n] verify reads once each,
-# in increasing n.  ``stirling`` and ``triangle`` read the in-place fold too,
+# Test hook.  Left as numbers.triangle, ``verify`` checks the slot lists that
+# numbers._unsigned_rows folds in place for the mask and its complement, and
+# holds those two rows plus the cofactor tables for row --n (about 19 MiB at
+# n = 600); a replacement factory(mask, max_n) returns a Triangle whose rows[n]
+# verify reads once each, in increasing n, and lays onto slots through
+# numbers.row_slots.  ``stirling`` and ``triangle`` read the in-place fold too,
 # the latter in Decimal.
 _TRIANGLE_FACTORY = numbers.triangle
 
@@ -346,12 +348,12 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
                      subset_limit: int = numbers.DEFAULT_SUBSET_LIMIT):
     """Run every identity the package promises; returns (name, status, detail) rows."""
     comp = mask.complement()
-    k, off = mask.k, mask.offset
+    k = mask.k
     if _TRIANGLE_FACTORY is numbers.triangle:
-        rows = (numbers.row_entries(mask, urow) for urow in numbers._unsigned_rows(mask, max_n))
+        rows = numbers._unsigned_rows(mask, max_n)
     else:
         tri = _TRIANGLE_FACTORY(mask, max_n)
-        rows = (tri.rows[n] for n in range(1, max_n + 1))
+        rows = (numbers.row_slots(mask, n, tri.rows[n]) for n in range(1, max_n + 1))
 
     js = range(2, max_n + 2)
     seq = [numbers.f_weight(j, mask) for j in js]
@@ -391,39 +393,39 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
                  bounds.h_dots(comp, max_n), accumulate(seq[:-1], initial=Fraction(0)))
     for n, (row, crow, lam, lam_c, f_sum) in enumerate(inputs, 1):
         total *= n ** k
-        sums_ok &= sum(row.values()) == total
-        # Slot u of (*crow, 0) is value(~mask, n, n - m) for m = n + offset - u.
-        sym_ok &= all(row.get(n + off - u, 0) == c for u, c in enumerate((*crow, 0)))
-        support_ok &= (min(row) >= off and max(row) <= n - 1 + off
-                       and all(v > 0 for v in row.values()))
+        sums_ok &= sum(row) == total
+        # value(mask, n, m) == value(~mask, n, n - m) is row[u] == crow[n + 1 - u]
+        # for u = 1..n, and slot 0 of both is 0: crow is row reversed behind slot 0.
+        sym_ok &= crow == [row[0], *row[:0:-1]]
+        support_ok &= len(row) == n + 1 and row[0] == 0 and min(row) >= 0
         if n <= n_cap:
-            explicit_ok &= numbers.explicit_row(mask, n, subset_limit) == row
+            explicit_ok &= numbers.row_slots(
+                mask, n, numbers.explicit_row(mask, n, subset_limit)) == row
 
-        # Row n as the coefficients of x**0..x**n.
-        coeffs = [row.get(u + off - 1, 0) for u in range(n + 1)]
+        # Row n as the coefficients of x**0..x**n, a copy: row is the live fold.
+        prev, low = low, row[:n + 1]
         z = zeros[n - 1]
         # s * row n == r * (hi*x + lo) * row n - 1; a None slot's factor is 1.
         s, hi, lo = (1, 0, 1) if z is None else (z.denominator, z.denominator, -z.numerator)
         r = 1 if n == 1 else numbers.g_weight(n, comp if z is None else mask)
         poly_ok &= all(s * c == r * (hi * a + lo * b)
-                       for c, a, b in zip(coeffs, [0, *low], [*low, 0]))
-        low = coeffs
+                       for c, a, b in zip(low, [0, *prev], [*prev, 0]))
 
         # lam = h_dot(n, mask), against the partial sum of seq up to j = n.
         dot_ok &= lam == f_sum
 
         # ocmax(mask) at support position t bounds the entry at position t,
-        # coeffs[t]; the complement's bound at its position t bounds the
-        # entry at n + 1 - t, so that pass reads coeffs from the top.  Each
-        # bound is compared with its entry from its factors, without
-        # multiplying them out first.
-        for vec, h, tabs, entries in ((mask, lam, tables, coeffs[1:]),
-                                      (comp, lam_c, comp_tables, coeffs[:0:-1])):
+        # low[t]; the complement's bound at its position t bounds the entry
+        # at n + 1 - t, so that pass reads low from the top.  Each bound is
+        # compared with its entry from its factors, without multiplying
+        # them out first.
+        for vec, h, tabs, entries in ((mask, lam, tables, low[1:]),
+                                      (comp, lam_c, comp_tables, low[:0:-1])):
             cofactors = bounds.ocmax_cofactors(vec, n, tabs)
             dom_ok &= all(bounds.ocmax_covers(h, cofactors, entries))
 
         if ref is not None:
-            ref_ok &= row == numbers.row_entries(mask, next(ref))
+            ref_ok &= row == next(ref)
 
         if use_oracle and over is None and differs is None:
             try:
@@ -431,7 +433,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
             except oracle.BudgetError:
                 over = n
             else:
-                if counts == row:
+                if numbers.row_slots(mask, n, counts) == row:
                     matched = n
                 else:
                     differs = n
@@ -443,7 +445,8 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 
     check("row-sums", sums_ok, f"each row n <= {max_n} sums to (n!)^{k}")
     check("complement-symmetry", sym_ok, "value(mask,n,m) == value(~mask,n,n-m)")
-    check("support", support_ok, f"entries confined to [{off}, n-1+{off}], all positive")
+    check("support", support_ok,
+          f"entries confined to [{mask.offset}, n-1+{mask.offset}], all positive")
     check("explicit-sum", explicit_ok,
           f"subset expansion matches the recurrence for n <= {n_cap}")
     check("polynomials", poly_ok, "coefficients, sign rule, exact zeros")

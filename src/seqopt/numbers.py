@@ -227,6 +227,23 @@ def row_entries(mask: Mask, urow) -> dict:
     return {u + off: c for u, c in enumerate(urow) if u >= 1 and c}
 
 
+def row_slots(mask: Mask, n: int, cells: dict) -> list:
+    """Unsigned row n as a slot list, from its entries ``{m: value}``; inverts row_entries.
+
+    Entry m goes to slot m - offset + 1.  An entry that no row n holds,
+    one off the support or one that is not positive, goes past slot n,
+    so the list is longer than n + 1 exactly when ``cells`` holds one.
+    """
+    row = [0] * (n + 1)
+    for m, v in cells.items():
+        u = m - mask.offset + 1
+        if 1 <= u <= n and v > 0:
+            row[u] = v
+        else:
+            row.append(v)
+    return row
+
+
 class Triangle(NamedTuple):
     """Exact rows 1..max_n for one mask; zero entries are not stored."""
 

@@ -661,6 +661,95 @@ class TestRowChecks:
         assert check_status(results, "support") == "FAIL"
 
 
+def negate_first_nonzero(urow):
+    u = next(u for u, c in enumerate(urow) if c)
+    return [*urow[:u], -urow[u], *urow[u + 1:]]
+
+
+class TestFoldSlotChecks:
+    """The row checks read each fold's slot list whole, slot 0 and length included.
+
+    verify folds the mask and its complement through the one function
+    numbers._unsigned_rows, so the wrapper edits row 13 of one fold only,
+    picked by its mask.
+    """
+
+    EDITS = {
+        "slot-0": lambda urow: [urow[0] + 1, *urow[1:]],
+        "appended": lambda urow: [*urow, 1],
+        "dropped": lambda urow: urow[:-1],
+        "negated": negate_first_nonzero,
+    }
+
+    @classmethod
+    def verify_edited(cls, monkeypatch, text, fold, edit):
+        """run_verification of mask ``text`` at n = 13, row 13 of ``fold``'s fold edited."""
+        mask = Mask.from_string(text)
+        target = mask if fold == "mask" else mask.complement()
+        real = numbers._unsigned_rows
+        edited = editing_rows(real, 13, cls.EDITS[edit])
+
+        def rows(fold_mask, max_n):
+            return (edited if fold_mask == target else real)(fold_mask, max_n)
+
+        monkeypatch.setattr(numbers, "_unsigned_rows", rows)
+        return cli.run_verification(mask, 13)
+
+    @pytest.mark.parametrize("edit", ["slot-0", "appended", "dropped"])
+    @pytest.mark.parametrize("text", ["01", "011", "10", "1001"])
+    def test_complement_fold_edit_fails_symmetry(self, monkeypatch, text, edit):
+        results = self.verify_edited(monkeypatch, text, "complement", edit)
+        assert check_status(results, "complement-symmetry") == "FAIL"
+
+    @pytest.mark.parametrize("text", ["01", "011", "10", "1001"])
+    def test_mask_fold_slot_zero_fails(self, monkeypatch, text):
+        results = self.verify_edited(monkeypatch, text, "mask", "slot-0")
+        for name in ("row-sums", "support", "polynomials"):
+            assert check_status(results, name) == "FAIL", name
+
+    @pytest.mark.parametrize("edit", ["appended", "dropped", "negated"])
+    @pytest.mark.parametrize("text", ["01", "011", "10", "1001"])
+    def test_mask_fold_edit_fails_support(self, monkeypatch, text, edit):
+        results = self.verify_edited(monkeypatch, text, "mask", edit)
+        assert check_status(results, "support") == "FAIL"
+
+
+class TestRowSlots:
+    """numbers.row_slots lays a row's {m: value} entries onto the fold's slots."""
+
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_inverts_row_entries(self, mask):
+        for n, urow in enumerate(numbers._unsigned_rows(mask, 12), 1):
+            assert numbers.row_slots(mask, n, numbers.row_entries(mask, urow)) == urow
+
+    @pytest.mark.parametrize("where", ["below", "above", "zero", "negative"])
+    def test_entry_no_row_holds_breaks_the_support_rule(self, where):
+        n = 6
+        for mask in MASKS_K_UP_TO_3:
+            cells = numbers.row_entries(mask, numbers._row(mask, n))
+            first = next(iter(cells))
+            if where == "below":
+                cells[mask.offset - 1] = 1
+            elif where == "above":
+                cells[n + mask.offset] = 1
+            else:
+                cells[first] = 0 if where == "zero" else -cells[first]
+            row = numbers.row_slots(mask, n, cells)
+            # verify's support rule, on a slot list.
+            assert not (len(row) == n + 1 and row[0] == 0 and min(row) >= 0), mask
+
+    def test_emptied_row_fails_rather_than_raises(self, monkeypatch):
+        def factory(mask, max_n):
+            tri = triangle(mask, max_n)
+            tri.rows[3].clear()
+            return tri
+
+        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+        results = cli.run_verification(Mask.from_string("011"), 6)
+        assert check_status(results, "row-sums") == "FAIL"
+        assert check_status(results, "complement-symmetry") == "FAIL"
+
+
 def test_verify_holds_less_than_one_triangle():
     # verify reads one row pair at a time, so its peak stays below the size
     # of one whole triangle of the same mask and n.

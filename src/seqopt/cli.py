@@ -3,12 +3,12 @@
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 3 I/O error.  Identical invocations produce byte-identical output.
 Each row fold holds one row and updates it in place.  ``triangle``
-renders each row from that buffer as it is computed, ``stirling`` diffs
-the two live rows of the mask fold and the reference fold, and ``verify``
-updates every per-row check from the slot lists of row n of the mask and
-of its complement, whole, slot 0 and length included (a test factory's
-``Triangle`` rows are laid onto slots first), holding that pair and the
-cofactor tables built for row ``--n`` (about 19 MiB at ``--n 600``).  ``--out`` naming a regular file or a new name is
+renders each row's ``numbers.row_entries`` from that buffer as it is
+computed, ``stirling`` diffs the two live rows of the mask fold and the
+reference fold, and ``verify`` updates every per-row check from the slot
+lists of row n of the mask and of its complement, whole, slot 0 and
+length included, holding that pair and the cofactor tables built for
+row ``--n`` (about 19 MiB at ``--n 600``).  ``--out`` naming a regular file or a new name is
 written through a temporary file beside it that replaces it only once the
 command has finished; a device or pipe is written in place, and a name
 ``open`` refuses (``''``, a directory, ``file/``) exits 3 before any work.
@@ -43,13 +43,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Test hook.  Left as numbers.triangle, ``verify`` checks the slot lists that
-# numbers._unsigned_rows folds in place for the mask and its complement, and
-# holds those two rows plus the cofactor tables for row --n (about 19 MiB at
-# n = 600); a replacement factory(mask, max_n) returns a Triangle whose rows[n]
-# verify reads once each, in increasing n, and lays onto slots through
-# numbers.row_slots.  ``stirling`` and ``triangle`` read the in-place fold too,
-# the latter in Decimal.
+# Unread by the program; benchmarks/test_bench.py pins it.  Goes with the tracer (ROADMAP item 3).
 _TRIANGLE_FACTORY = numbers.triangle
 
 __all__ = [
@@ -349,12 +343,6 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
     """Run every identity the package promises; returns (name, status, detail) rows."""
     comp = mask.complement()
     k = mask.k
-    if _TRIANGLE_FACTORY is numbers.triangle:
-        rows = numbers._unsigned_rows(mask, max_n)
-    else:
-        tri = _TRIANGLE_FACTORY(mask, max_n)
-        rows = (numbers.row_slots(mask, n, tri.rows[n]) for n in range(1, max_n + 1))
-
     js = range(2, max_n + 2)
     seq = [numbers.f_weight(j, mask) for j in js]
     weights_ok = all(a >= b for a, b in zip(seq, seq[1:]))
@@ -389,8 +377,9 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
     # The oracle stops at its first disagreement or at the first row over
     # the budget: histogram refuses such a row, and (n!)**k only grows with n.
     matched = over = differs = None
-    inputs = zip(rows, numbers._unsigned_rows(comp, max_n), bounds.h_dots(mask, max_n),
-                 bounds.h_dots(comp, max_n), accumulate(seq[:-1], initial=Fraction(0)))
+    inputs = zip(numbers._unsigned_rows(mask, max_n), numbers._unsigned_rows(comp, max_n),
+                 bounds.h_dots(mask, max_n), bounds.h_dots(comp, max_n),
+                 accumulate(seq[:-1], initial=Fraction(0)))
     for n, (row, crow, lam, lam_c, f_sum) in enumerate(inputs, 1):
         total *= n ** k
         sums_ok &= sum(row) == total
@@ -399,8 +388,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
         sym_ok &= crow == [row[0], *row[:0:-1]]
         support_ok &= len(row) == n + 1 and row[0] == 0 and min(row) >= 0
         if n <= n_cap:
-            explicit_ok &= numbers.row_slots(
-                mask, n, numbers.explicit_row(mask, n, subset_limit)) == row
+            explicit_ok &= numbers.explicit_row(mask, n, subset_limit) == row
 
         # Row n as the coefficients of x**0..x**n, a copy: row is the live fold.
         prev, low = low, row[:n + 1]
@@ -484,11 +472,10 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
 # ----------------------------------------------------------------- commands
 
 def cmd_triangle(args: argparse.Namespace, out) -> int:
-    # Each row's cells are rendered from the live buffer before the fold resumes.
-    off = args.mask.offset - 1
+    # Each row's cells are taken from the live buffer before the fold resumes;
+    # row_entries keeps a nonzero slot 0, so a fold fault there is printed.
     urows = numbers._unsigned_rows(args.mask, args.max_n, Decimal)
-    rows = ((n, ((u + off, c) for u, c in enumerate(urow) if u and c))
-            for n, urow in enumerate(urows, 1))
+    rows = ((n, numbers.row_entries(args.mask, urow).items()) for n, urow in enumerate(urows, 1))
     for text in _chunks(args.fmt, args.mask, rows):
         _write(out, text)
     return EXIT_OK

@@ -222,9 +222,13 @@ def _row(mask: Mask, n: int) -> tuple[int, ...]:
 
 
 def row_entries(mask: Mask, urow) -> dict:
-    """Nonzero entries ``{m: value}`` of one unsigned row, in increasing m."""
+    """Nonzero entries ``{m: value}`` of one unsigned row, in increasing m.
+
+    Slot u is entry m = u + offset - 1.  Every nonzero slot is kept: a
+    nonzero slot 0, which no correct row holds, is entry offset - 1.
+    """
     off = mask.offset - 1
-    return {u + off: c for u, c in enumerate(urow) if u >= 1 and c}
+    return {u + off: c for u, c in enumerate(urow) if c}
 
 
 def row_slots(mask: Mask, n: int, cells: dict) -> list:
@@ -233,6 +237,7 @@ def row_slots(mask: Mask, n: int, cells: dict) -> list:
     Entry m goes to slot m - offset + 1.  An entry that no row n holds,
     one off the support or one that is not positive, goes past slot n,
     so the list is longer than n + 1 exactly when ``cells`` holds one.
+    ``verify`` lays the oracle's histogram on slots through it.
     """
     row = [0] * (n + 1)
     for m, v in cells.items():
@@ -278,11 +283,11 @@ def value(mask: Mask, n: int, m: int) -> int:
     return _row(mask, n)[u]
 
 
-def explicit_row(mask: Mask, n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> dict[int, int]:
-    """Nonzero entries ``{m: value}`` of row n by direct subset expansion.
+def explicit_row(mask: Mask, n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> list[int]:
+    """Unsigned row n as a slot list ``[0, ...]`` by direct subset expansion.
 
-    Independent of the recurrence: entry m sums, over all (t-1)-element
-    subsets J of {2..n} with t = m - offset + 1, the product of
+    Independent of the recurrence: slot t, entry m = t + offset - 1, sums
+    over all (t-1)-element subsets J of {2..n} the product of
     f_weight(j, mask) for j in J times f_weight(j, ~mask) for j outside J,
     scaled by (n-1)!**k.  As that scale is the product of (j-1)**k over
     j = 2..n, each weight is scaled by its own (j-1)**k once; that each
@@ -309,12 +314,12 @@ def explicit_row(mask: Mask, n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -
     # Both products run through the subsets in the same order.
     for factors, picks in zip(product(*pairs), product((0, 1), repeat=n - 1)):
         sums[sum(picks)] += prod(factors)
-    return {t + mask.offset: v for t, v in enumerate(sums) if v}
+    return [0, *sums]
 
 
 def explicit_value(mask: Mask, n: int, m: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> int:
     """Entry at (n, m) of ``explicit_row``; zero outside the row's support."""
-    return explicit_row(mask, n, subset_limit).get(m, 0)
+    return row_entries(mask, explicit_row(mask, n, subset_limit)).get(m, 0)
 
 
 class IntPolynomial(NamedTuple):

@@ -200,13 +200,18 @@ def test_c11_cli_contract(capsys, tmp_path, monkeypatch):
     ok &= run("triangle", "--mask", "01", "--n", "3",
               "--out", "/no-such-directory/t.csv")[0] == 3
 
-    def corrupting(mask, max_n):
-        tri = numbers.triangle(mask, max_n)
-        m = next(iter(tri.rows[max_n]))
-        tri.rows[max_n][m] += 1
-        return tri
+    # The first entry of row 5 of mask 01's fold gains 1, laid back on slots.
+    real = numbers._unsigned_rows
 
-    monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting)
+    def corrupting(mask, max_n, num=int):
+        for n, urow in enumerate(real(mask, max_n, num), 1):
+            if n == 5 and mask == Mask.stirling():
+                cells = numbers.row_entries(mask, urow)
+                cells[next(iter(cells))] += 1
+                urow = numbers.row_slots(mask, n, cells)
+            yield urow
+
+    monkeypatch.setattr(numbers, "_unsigned_rows", corrupting)
     ok &= run("verify", "--mask", "01", "--n", "5")[0] == 1
     monkeypatch.undo()
     notes.append("exit codes 0/1/2/3")

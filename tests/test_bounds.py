@@ -230,6 +230,31 @@ class TestMirroredTail:
             mirrored_tail(Mask.stirling(), 5, 1)
 
 
+class TestCoprimeFraction:
+    """bounds._coprime_fraction sets Fraction's private slots; it must act as Fraction(p, q)."""
+
+    PAIRS = [(0, 1), (1, 1), (3, 7), (-5, 12), (2**4001 - 1, 3**2600),
+             (7**1500, 7**1500 + 1), (-(11**1200), 2**4100)]
+
+    @pytest.mark.parametrize("p, q", PAIRS,
+                             ids=[f"{p.bit_length()}-{q.bit_length()}-bits" for p, q in PAIRS])
+    def test_acts_as_the_reduced_fraction(self, p, q):
+        import copy
+        import pickle
+
+        assert gcd(p, q) == 1 and q > 0
+        got, want = bounds._coprime_fraction(p, q), Fraction(p, q)
+        assert type(got) is Fraction
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want) and repr(got) == repr(want)
+        assert got + Fraction(1, 3) == want + Fraction(1, 3) and got + got == 2 * want
+        assert got < want + Fraction(1, q + 1) and not got < want
+        assert got.as_integer_ratio() == (p, q) == (got.numerator, got.denominator)
+        for twin in (pickle.loads(pickle.dumps(got)), copy.deepcopy(got)):
+            assert type(twin) is Fraction and twin == want
+            assert twin.as_integer_ratio() == (p, q)
+
+
 class TestRatioReport:
     def test_row_two_ratio_is_one(self):
         rep = ratio_report(Mask.stirling(), 2)

@@ -35,36 +35,40 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def corrupting_factory(mask, max_n):
-    tri = triangle(mask, max_n)
-    m = next(iter(tri.rows[max_n]))
-    tri.rows[max_n][m] += 1
-    return tri
+def editing_rows(monkeypatch, mask, target, edit):
+    """Patch numbers._unsigned_rows: row ``target`` of ``mask``'s fold becomes ``edit(row)``.
 
-
-def corrupting_rows(rows_of, target=None):
-    """Wrap a row generator so that the first entry of row ``target`` gains 1.
-
-    The edited row is a copy: writing into the fold's live row would change
-    every row after it.  ``target`` defaults to the last row, which is the
-    entry corrupting_factory changes in a whole triangle.
+    ``edit`` returns a copy: writing into the fold's live row would change
+    every row after it.  Other masks' folds, such as the complement fold
+    of ``verify``, pass unchanged, and ``num`` passes through, so the
+    Decimal fold of ``triangle`` is edited too.
     """
-    def rows(mask, max_n):
-        bad = max_n if target is None else target
-        for n, urow in enumerate(rows_of(mask, max_n), 1):
-            if n == bad:
-                u = next(u for u, c in enumerate(urow) if u and c)
-                urow = [*urow[:u], urow[u] + 1, *urow[u + 1:]]
-            yield urow
-    return rows
+    real = numbers._unsigned_rows
+
+    def rows(fold_mask, max_n, num=int):
+        for n, urow in enumerate(real(fold_mask, max_n, num), 1):
+            yield edit(urow) if n == target and fold_mask == mask else urow
+
+    monkeypatch.setattr(numbers, "_unsigned_rows", rows)
 
 
-def editing_rows(rows_of, target, edit):
-    """Wrap a row generator so that row ``target`` is replaced by ``edit(row)``, a copy."""
-    def rows(mask, max_n):
-        for n, urow in enumerate(rows_of(mask, max_n), 1):
-            yield edit(urow) if n == target else urow
-    return rows
+def changing_rows(monkeypatch, mask, target, change):
+    """editing_rows, with change(cells) editing row ``target``'s entries {m: value} in place.
+
+    The edited row is row_slots(mask, target, cells): an entry no row holds
+    lands past slot ``target``, where verify's support rule refuses it.
+    """
+    def edit(urow):
+        cells = numbers.row_entries(mask, urow)
+        change(cells)
+        return numbers.row_slots(mask, target, cells)
+
+    editing_rows(monkeypatch, mask, target, edit)
+
+
+def plus_one(cells):
+    """The first entry of a row gains 1."""
+    cells[next(iter(cells))] += 1
 
 
 class TestTriangleCommand:
@@ -217,6 +221,25 @@ class TestStreamedTriangleMatchesRenderers:
             assert out == cli.render_plain(triangle(mask, n))
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+@pytest.mark.parametrize("text, cell", [("011", "3,0,1"), ("100", "3,-1,1")])
+def test_triangle_prints_a_raised_slot_zero(capsys, monkeypatch, text, cell, fmt):
+    # Slot 0 lies below the support, where no correct row holds an entry;
+    # a fold that writes there shows as the cell m = offset - 1.
+    mask = Mask.from_string(text)
+    tri = triangle(mask, 5)
+    n, m, v = map(int, cell.split(","))
+    tri.rows[n] = {m: v, **tri.rows[n]}
+    editing_rows(monkeypatch, mask, n, lambda urow: [urow[0] + v, *urow[1:]])
+    code, out, _ = run(capsys, "triangle", "--mask", text, "--n", "5", "--format", fmt)
+    assert code == 0
+    render = {"csv": lambda t: cli.render_csv(cli.triangle_entries(t)),
+              "json": cli.render_json, "plain": cli.render_plain}[fmt]
+    assert out == render(tri)
+    if fmt == "csv":
+        assert cell in out.splitlines()
+
+
 def test_benchmark_trace_bindings_resolve():
     # The benchmark's tracer wraps layer functions by name; a renamed or
     # deleted one makes every traced invocation fail.
@@ -288,7 +311,7 @@ class TestExitCodes:
         assert tree() == before
 
     def test_corrupted_triangle_fails_verification(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting_factory)
+        changing_rows(monkeypatch, Mask.stirling(), 6, plus_one)
         code, out, _ = run(capsys, "verify", "--mask", "01", "--n", "6")
         assert code == 1
         assert "FAIL" in out
@@ -321,8 +344,9 @@ class TestVerifyCommand:
             "oracle", "SKIP", "warning: budget 0 allows no row (n=1 already needs 1 tuples)")
 
     def test_oracle_names_the_first_disagreeing_row(self, monkeypatch):
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", corrupting_factory)
-        results = cli.run_verification(Mask.from_string("011"), 4, use_oracle=True)
+        mask = Mask.from_string("011")
+        changing_rows(monkeypatch, mask, 4, plus_one)
+        results = cli.run_verification(mask, 4, use_oracle=True)
         assert results[-1] == ("oracle", "FAIL", "exhaustive histogram disagrees at n=4")
 
     def test_non_stirling_mask_has_no_reference_check(self, capsys):
@@ -410,14 +434,9 @@ class TestPolynomialsCheck:
     @pytest.mark.parametrize("row", [6, 3], ids=["top-row", "middle-row"])
     @pytest.mark.parametrize("text", ["01", "011", "11", "111", "00", "000", "1001"])
     def test_single_entry_corruption_fails(self, monkeypatch, text, row):
-        def factory(mask, max_n):
-            tri = triangle(mask, max_n)
-            m = next(iter(tri.rows[row]))
-            tri.rows[row][m] += 1
-            return tri
-
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
-        results = cli.run_verification(Mask.from_string(text), 6)
+        mask = Mask.from_string(text)
+        changing_rows(monkeypatch, mask, row, plus_one)
+        results = cli.run_verification(mask, 6)
         assert check_status(results, "polynomials") == "FAIL"
 
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
@@ -448,13 +467,7 @@ class TestExplicitSumCheck:
     @pytest.mark.parametrize("row", [3, 12])
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
     def test_plus_one_fails(self, monkeypatch, mask, row):
-        def factory(mask, max_n):
-            tri = triangle(mask, max_n)
-            m = next(iter(tri.rows[row]))
-            tri.rows[row][m] += 1
-            return tri
-
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+        changing_rows(monkeypatch, mask, row, plus_one)
         results = cli.run_verification(mask, 12)
         assert check_status(results, "explicit-sum") == "FAIL"
 
@@ -468,9 +481,8 @@ class TestExplicitSumCheck:
 
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
     def test_matches_the_recurrence(self, mask):
-        tri = triangle(mask, 10)
         for n in range(1, 11):
-            assert numbers.explicit_row(mask, n) == tri.row(n)
+            assert numbers.explicit_row(mask, n) == list(numbers._row(mask, n))
 
 
 def near_pow2(lo, hi):
@@ -559,13 +571,12 @@ class TestDominanceCheck:
     @staticmethod
     def plus_one_at_either_end(monkeypatch, mask, row, max_n):
         for m in (mask.offset, row - 1 + mask.offset):
-            def factory(mask, max_n, m=m):
-                tri = triangle(mask, max_n)
-                tri.rows[row][m] = tri.rows[row].get(m, 0) + 1
-                return tri
+            def change(cells, m=m):
+                cells[m] = cells.get(m, 0) + 1
 
-            monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
+            changing_rows(monkeypatch, mask, row, change)
             results = cli.run_verification(mask, max_n)
+            monkeypatch.undo()
             assert check_status(results, "upper-bound-dominance") == "FAIL", m
 
     @pytest.mark.parametrize("row", [3, 6])
@@ -595,14 +606,14 @@ class TestTailBoundsCheck:
         # An entry of (n!)**k alone makes a tail mass of at least 1: the top
         # entry for first bit 0, the bottom one for the mirrored branch.  The
         # thresholds stay inside the support at these n.
-        def factory(mask, max_n):
-            tri = triangle(mask, max_n)
-            m = max_n - 1 + mask.offset if mask.bits[0] == 0 else mask.offset
-            tri.rows[max_n][m] = factorial(max_n) ** mask.k
-            return tri
+        mask = Mask.from_string(text)
+        m = max_n - 1 + mask.offset if mask.bits[0] == 0 else mask.offset
 
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
-        results = cli.run_verification(Mask.from_string(text), max_n)
+        def change(cells):
+            cells[m] = factorial(max_n) ** mask.k
+
+        changing_rows(monkeypatch, mask, max_n, change)
+        results = cli.run_verification(mask, max_n)
         assert check_status(results, "tail-bounds") == "FAIL"
 
 
@@ -625,21 +636,14 @@ class TestRowChecks:
     @staticmethod
     def verify_changed(monkeypatch, text, row, change):
         """run_verification at n = 6 with change(mask, cells) applied to row ``row``."""
-        def factory(mask, max_n):
-            tri = triangle(mask, max_n)
-            change(mask, tri.rows[row])
-            return tri
-
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
-        return cli.run_verification(Mask.from_string(text), 6)
+        mask = Mask.from_string(text)
+        changing_rows(monkeypatch, mask, row, lambda cells: change(mask, cells))
+        return cli.run_verification(mask, 6)
 
     @pytest.mark.parametrize("row", [6, 3], ids=["top-row", "middle-row"])
     @pytest.mark.parametrize("text", ["01", "011", "10", "1001", "111", "000"])
     def test_plus_one_fails(self, monkeypatch, text, row):
-        def plus_one(mask, cells):
-            cells[next(iter(cells))] += 1
-
-        results = self.verify_changed(monkeypatch, text, row, plus_one)
+        results = self.verify_changed(monkeypatch, text, row, lambda mask, cells: plus_one(cells))
         assert check_status(results, "row-sums") == "FAIL"
         assert check_status(results, "complement-symmetry") == "FAIL"
         if text == "01":
@@ -685,14 +689,8 @@ class TestFoldSlotChecks:
     def verify_edited(cls, monkeypatch, text, fold, edit):
         """run_verification of mask ``text`` at n = 13, row 13 of ``fold``'s fold edited."""
         mask = Mask.from_string(text)
-        target = mask if fold == "mask" else mask.complement()
-        real = numbers._unsigned_rows
-        edited = editing_rows(real, 13, cls.EDITS[edit])
-
-        def rows(fold_mask, max_n):
-            return (edited if fold_mask == target else real)(fold_mask, max_n)
-
-        monkeypatch.setattr(numbers, "_unsigned_rows", rows)
+        editing_rows(monkeypatch, mask if fold == "mask" else mask.complement(), 13,
+                     cls.EDITS[edit])
         return cli.run_verification(mask, 13)
 
     @pytest.mark.parametrize("edit", ["slot-0", "appended", "dropped"])
@@ -722,6 +720,11 @@ class TestRowSlots:
         for n, urow in enumerate(numbers._unsigned_rows(mask, 12), 1):
             assert numbers.row_slots(mask, n, numbers.row_entries(mask, urow)) == urow
 
+    @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
+    def test_row_entries_of_a_correct_row_lie_on_the_support(self, mask):
+        for n, urow in enumerate(numbers._unsigned_rows(mask, 12), 1):
+            assert set(numbers.row_entries(mask, urow)) <= set(mask.support(n)), n
+
     @pytest.mark.parametrize("where", ["below", "above", "zero", "negative"])
     def test_entry_no_row_holds_breaks_the_support_rule(self, where):
         n = 6
@@ -739,13 +742,9 @@ class TestRowSlots:
             assert not (len(row) == n + 1 and row[0] == 0 and min(row) >= 0), mask
 
     def test_emptied_row_fails_rather_than_raises(self, monkeypatch):
-        def factory(mask, max_n):
-            tri = triangle(mask, max_n)
-            tri.rows[3].clear()
-            return tri
-
-        monkeypatch.setattr(cli, "_TRIANGLE_FACTORY", factory)
-        results = cli.run_verification(Mask.from_string("011"), 6)
+        mask = Mask.from_string("011")
+        changing_rows(monkeypatch, mask, 3, dict.clear)
+        results = cli.run_verification(mask, 6)
         assert check_status(results, "row-sums") == "FAIL"
         assert check_status(results, "complement-symmetry") == "FAIL"
 
@@ -942,39 +941,36 @@ class TestStirlingCommand:
         assert run(capsys, "stirling", "--n", "200") == (0, "OK: 200 rows identical\n", "")
 
     def test_mismatch_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(numbers, "_unsigned_rows", corrupting_rows(numbers._unsigned_rows))
+        changing_rows(monkeypatch, Mask.stirling(), 5, plus_one)
         code, out, _ = run(capsys, "stirling", "--n", "5")
         assert code == 1
         assert "MISMATCH" in out
 
     def test_middle_row_mismatch_lines(self, capsys, monkeypatch):
         mask = Mask.stirling()
-        corrupted = corrupting_rows(numbers._unsigned_rows, target=3)
+        changing_rows(monkeypatch, mask, 3, plus_one)
         ref = numbers.stirling_ref(7)
         want = []
-        for n, urow in enumerate(corrupted(mask, 7), 1):
+        for n, urow in enumerate(numbers._unsigned_rows(mask, 7), 1):
             got = numbers.row_entries(mask, urow)
             want += [f"MISMATCH n={n} m={m} triangle={got.get(m, 0)} "
                      f"reference={ref[n].get(m, 0)}"
                      for m in sorted(set(got) | set(ref[n]))
                      if got.get(m, 0) != ref[n].get(m, 0)]
         assert want == ["MISMATCH n=3 m=1 triangle=3 reference=2"]
-        monkeypatch.setattr(numbers, "_unsigned_rows", corrupted)
         assert run(capsys, "stirling", "--n", "7") == (1, "\n".join(want) + "\n", "")
 
     def test_trailing_slot_past_the_reference_row(self, capsys, monkeypatch):
         # Row 4 gains a nonzero slot m = 5 that the reference row 4 lacks; a
         # diff that stops at the end of the shorter row misses it.
-        rows = editing_rows(numbers._unsigned_rows, 4, lambda urow: [*urow, 5])
-        monkeypatch.setattr(numbers, "_unsigned_rows", rows)
+        editing_rows(monkeypatch, Mask.stirling(), 4, lambda urow: [*urow, 5])
         assert run(capsys, "stirling", "--n", "7") == (
             1, "MISMATCH n=4 m=5 triangle=5 reference=0\n", "")
 
     def test_corrupted_slot_zero_is_diffed(self, capsys, monkeypatch):
         # Slot 0 lies below mask 01's support, where both rows hold 0; a fold
         # that writes there is wrong, so row 3's raised slot 0 is reported.
-        rows = editing_rows(numbers._unsigned_rows, 3, lambda urow: [urow[0] + 1, *urow[1:]])
-        monkeypatch.setattr(numbers, "_unsigned_rows", rows)
+        editing_rows(monkeypatch, Mask.stirling(), 3, lambda urow: [urow[0] + 1, *urow[1:]])
         assert run(capsys, "stirling", "--n", "7") == (
             1, "MISMATCH n=3 m=0 triangle=1 reference=0\n", "")
 

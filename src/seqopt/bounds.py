@@ -138,15 +138,17 @@ def exp_bound_holds(lhs: Fraction, exponent) -> bool:
 
 
 def h_dots(mask: Mask, max_n: int):
-    """Yield h_dot(n, mask), n = 1..max_n: step n adds comb(k, p) / n**p over set bits p."""
+    """Yield h_dot(n, mask), n = 1..max_n: step n adds g_weight(n + 1, mask) / n**k.
+
+    The step is f_weight(n + 1, mask), taken from the recurrence's integer
+    weight; verify compares these sums with the f_weight partial sums.
+    """
     if max_n < 1:
         raise ValueError(f"n must be >= 1, got {max_n}")
-    k = mask.k
-    terms = [(comb(k, p), p) for p, bit in enumerate(mask.bits) if bit]
     lam = Fraction(0)
     for n in range(1, max_n + 1):
         yield lam
-        lam += Fraction(sum(c * n ** (k - p) for c, p in terms), n**k)  # the step, over n**k
+        lam += Fraction(g_weight(n + 1, mask), n**mask.k)
 
 
 def h_dot(n: int, mask: Mask) -> Fraction:

@@ -4,11 +4,14 @@ Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 3 I/O error.  Identical invocations produce byte-identical output.
 Each row fold holds one row and updates it in place.  ``triangle``
 renders each row's ``numbers.row_entries`` from that buffer as it is
-computed, ``stirling`` diffs the two live rows of the mask fold and the
-reference fold, and ``verify`` updates every per-row check from the slot
-lists of row n of the mask and of its complement, whole, slot 0 and
-length included, holding that pair and the cofactor tables built for
-row ``--n`` (about 19 MiB at ``--n 600``).  ``--out`` naming a regular file or a new name is
+computed, one cell at a time, and writes the pieces in batches of about
+64 Ki characters, so no row's text is held whole; ``poly`` writes its
+coefficient and zero lines the same way.  ``stirling`` diffs the two
+live rows of the mask fold and the reference fold, and ``verify``
+updates every per-row check from the slot lists of row n of the mask
+and of its complement, whole, slot 0 and length included, holding that
+pair and the cofactor tables built for row ``--n`` (about 19 MiB at
+``--n 600``).  ``--out`` naming a regular file or a new name is
 written through a temporary file beside it that replaces it only once the
 command has finished; a device or pipe is written in place, and a name
 ``open`` refuses (``''``, a directory, ``file/``) exits 3 before any work.
@@ -149,28 +152,38 @@ def triangle_entries(tri: numbers.Triangle) -> list[tuple[int, int, int]]:
             for m, v in sorted(tri.rows[n].items())]
 
 
-# Each format is a header, one chunk per row and a trailer.  A row chunk
-# takes n and the row's (m, value) cells in increasing m; rows arrive in
-# order starting at n = 1.
+# Each format is a header, the pieces of each row and a trailer.  A row
+# formatter takes n and the row's (m, value) cells in increasing m and
+# yields its text piece by piece, one cell at a time, so that no row's text
+# is held whole; rows arrive in order starting at n = 1.
 
 def _json_head(mask: numbers.Mask) -> str:
     return f'{{\n  "mask": "{mask}",\n  "k": {mask.k},\n  "rows": {{'
 
 
-def _json_row(n: int, cells) -> str:
+def _json_row(n: int, cells):
     # Reproduces json.dumps(indent=2) of {"n": {"m": "value", ...}}: every
     # key and value is a decimal digit string, so nothing needs escaping.
-    body = ",\n".join(f'      "{m}": "{v!s}"' for m, v in cells)
-    row = f"{{\n{body}\n    }}" if body else "{}"
-    return f'{"" if n == 1 else ","}\n    "{n}": {row}'
+    yield f'{"" if n == 1 else ","}\n    "{n}": '
+    sep = "{\n"
+    for m, v in cells:
+        yield f'{sep}      "{m}": "{v!s}"'
+        sep = ",\n"
+    yield "{}" if sep == "{\n" else "\n    }"
 
 
-def _csv_row(n: int, cells) -> str:
-    return "".join(f"{n},{m},{v!s}\n" for m, v in cells)
+def _csv_row(n: int, cells):
+    for m, v in cells:
+        yield f"{n},{m},{v!s}\n"
 
 
-def _plain_row(n: int, cells) -> str:
-    return f"n={n}  " + "  ".join(f"{m}:{v!s}" for m, v in cells) + "\n"
+def _plain_row(n: int, cells):
+    yield f"n={n}  "
+    sep = ""
+    for m, v in cells:
+        yield f"{sep}{m}:{v!s}"
+        sep = "  "
+    yield "\n"
 
 
 _FORMATS = {
@@ -185,7 +198,7 @@ def _chunks(fmt: str, mask: numbers.Mask | None, rows):
     head, row, tail = _FORMATS[fmt]
     yield head(mask)
     for n, cells in rows:
-        yield row(n, cells)
+        yield from row(n, cells)
     yield tail
 
 
@@ -335,11 +348,28 @@ def _write(out, text: str) -> None:
     out.write(text)
 
 
+# Characters joined into one _write: enough to keep the calls few, small
+# beside one row of a large triangle.
+_BATCH = 1 << 16
+
+
+def _write_pieces(out, pieces) -> None:
+    """Write the concatenation of pieces through ``_write``, about _BATCH characters at a time."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            _write(out, "".join(batch))
+            batch, size = [], 0
+    if batch:
+        _write(out, "".join(batch))
+
+
 # ------------------------------------------------------------- verification
 
 def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False,
-                     budget: int = oracle.DEFAULT_BUDGET,
-                     subset_limit: int = numbers.DEFAULT_SUBSET_LIMIT):
+                     budget: int = oracle.DEFAULT_BUDGET):
     """Run every identity the package promises; returns (name, status, detail) rows."""
     comp = mask.complement()
     k = mask.k
@@ -354,7 +384,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
     if mask.bits[0] == 1:
         weights_ok &= all(w >= 1 for w in seq)
 
-    n_cap = min(max_n, subset_limit)
+    n_cap = min(max_n, numbers.DEFAULT_SUBSET_LIMIT)
     # Row n's roots are the first n of row max_n's.  Row n must be
     # r * (x - p/q) times row n - 1, which was checked before it (row 0 is
     # the constant 1): q * row n == r * (q*x - p) * row n - 1, with
@@ -388,7 +418,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
         sym_ok &= crow == [row[0], *row[:0:-1]]
         support_ok &= len(row) == n + 1 and row[0] == 0 and min(row) >= 0
         if n <= n_cap:
-            explicit_ok &= numbers.explicit_row(mask, n, subset_limit) == row
+            explicit_ok &= numbers.explicit_row(mask, n) == row
 
         # Row n as the coefficients of x**0..x**n, a copy: row is the live fold.
         prev, low = low, row[:n + 1]
@@ -476,14 +506,13 @@ def cmd_triangle(args: argparse.Namespace, out) -> int:
     # row_entries keeps a nonzero slot 0, so a fold fault there is printed.
     urows = numbers._unsigned_rows(args.mask, args.max_n, Decimal)
     rows = ((n, numbers.row_entries(args.mask, urow).items()) for n, urow in enumerate(urows, 1))
-    for text in _chunks(args.fmt, args.mask, rows):
-        _write(out, text)
+    _write_pieces(out, _chunks(args.fmt, args.mask, rows))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
     results = run_verification(args.mask, args.max_n, use_oracle=args.use_oracle,
-                               budget=args.budget, subset_limit=args.subset_limit)
+                               budget=args.budget)
     width = max(len(name) for name, _, _ in results)
     lines = [f"{status:<4} {name:<{width}}  {detail}".rstrip()
              for name, status, detail in results]
@@ -493,15 +522,25 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _comma_line(label: str, texts):
+    """The line ``label`` + ",".join(texts), piece by piece."""
+    yield label
+    sep = ""
+    for text in texts:
+        yield sep + text
+        sep = ","
+    yield "\n"
+
+
 def cmd_poly(args: argparse.Namespace, out) -> int:
     make = numbers.rising_poly if args.kind == "rising" else numbers.falling_poly
     poly = make(args.mask, args.max_n)
-    lines = [f"mask {args.mask} n {args.max_n} kind {args.kind}",
-             "coefficients " + ",".join(map(_exact_str, poly.coefficients))]
+    _write(out, f"mask {args.mask} n {args.max_n} kind {args.kind}\n")
+    _write_pieces(out, _comma_line("coefficients ", map(_exact_str, poly.coefficients)))
     if args.zeros:
         zs = numbers.poly_zeros(args.mask, args.max_n, args.kind)
-        lines.append("zeros " + ",".join("undef" if z is None else _exact_str(z) for z in zs))
-    _write(out, "\n".join(lines) + "\n")
+        _write_pieces(out, _comma_line(
+            "zeros ", ("undef" if z is None else _exact_str(z) for z in zs)))
     return EXIT_OK
 
 
@@ -530,7 +569,7 @@ def cmd_bounds(args: argparse.Namespace, out) -> int:
         ok &= good
         line(f"m {m} ocmax {text} value {_exact_str(v)} "
              f"dominance {'PASS' if good else 'FAIL'}")
-    for t in bounds.tail_checks(mask, row, args.m1 or (1, 2, 3)):
+    for t in bounds.tail_checks(mask, row, args.m1):
         ok &= t.ok
         line(f"tail m1 {t.m1} M {t.threshold} probability {_exact_str(t.probability)} "
              f"bound {t.bound!r} {'PASS' if t.ok else 'FAIL'}")
@@ -637,9 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also diff rows against the exhaustive enumeration")
     sp.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET,
                     help="max permutation tuples the oracle may cover, (n!)^k per row")
-    sp.add_argument("--subset-limit", type=_positive_int,
-                    default=numbers.DEFAULT_SUBSET_LIMIT,
-                    help="cap for the explicit subset expansion")
 
     sp = sub.add_parser("poly", help="expand the generating product of row n")
     common(sp)
@@ -648,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="upper bounds, tail and ratio report for row n")
     common(sp, n_type=_bounds_n)
-    sp.add_argument("--m1", type=_m1_list, default=(), help="comma-separated tail margins")
+    sp.add_argument("--m1", type=_m1_list, default=(1, 2, 3), help="comma-separated tail margins")
 
     sp = sub.add_parser("stirling", help="diff mask 01 against the classic recurrence")
     common(sp, mask=False, n_default=30)

@@ -349,6 +349,13 @@ class TestVerifyCommand:
         results = cli.run_verification(mask, 4, use_oracle=True)
         assert results[-1] == ("oracle", "FAIL", "exhaustive histogram disagrees at n=4")
 
+    def test_subset_limit_is_not_an_option(self, capsys):
+        # The explicit-sum cap is numbers.DEFAULT_SUBSET_LIMIT, not a setting.
+        code, out, err = run(capsys, "verify", "--mask", "01", "--n", "5", "--subset-limit", "5")
+        assert code == 2
+        assert out == ""
+        assert "--subset-limit" in err
+
     def test_non_stirling_mask_has_no_reference_check(self, capsys):
         code, out, _ = run(capsys, "verify", "--mask", "10", "--n", "6")
         assert code == 0
@@ -768,6 +775,48 @@ def test_verify_holds_less_than_one_triangle():
     assert peak < one_triangle, (peak, one_triangle)
 
 
+def traced_peak(tmp_path, *argv) -> int:
+    """Peak bytes that tracemalloc sees while ``seqopt *argv --out FILE`` runs.
+
+    A small run of the same command goes first, so that what a process
+    allocates once (argparse, the power cache) is not counted.
+    """
+    out = str(tmp_path / "out")
+    cli.main([argv[0], "--mask", "01", "--n", "5", "--out", out])
+    tracemalloc.start()
+    try:
+        assert cli.main([*argv, "--out", out]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+def test_triangle_holds_no_row_text_whole(tmp_path, fmt):
+    # triangle writes each row's cells in batches of a bounded size, so its
+    # peak stays near the fold's one Decimal row; holding row n's text
+    # whole, as cell strings and as their join, peaked at 7 to 9 times it.
+    mask, n = Mask.from_string("011"), 300
+    for row in numbers._unsigned_rows(mask, n, decimal.Decimal):
+        pass
+    row_bytes = sys.getsizeof(row) + sum(map(sys.getsizeof, row))
+    peak = traced_peak(tmp_path, "triangle", "--mask", str(mask), "--n", str(n), "--format", fmt)
+    assert peak < 4 * row_bytes, (peak, row_bytes)
+
+
+@pytest.mark.parametrize("kind", ["rising", "falling"])
+def test_poly_holds_no_line_whole(tmp_path, kind):
+    # poly writes its coefficient and zero lines piece by piece; joining,
+    # prefixing and joining them again peaked at about 8 times the row's ints.
+    mask, n = Mask.from_string("011"), 400
+    coefficients = numbers.rising_poly(mask, n).coefficients
+    int_bytes = sys.getsizeof(coefficients) + sum(map(sys.getsizeof, coefficients))
+    del coefficients
+    peak = traced_peak(tmp_path, "poly", "--mask", str(mask), "--n", str(n), "--kind", kind,
+                       "--zeros")
+    assert peak < 3 * int_bytes, (peak, int_bytes)
+
+
 class TestPolyCommand:
     def test_with_zeros(self, capsys):
         code, out, _ = run(capsys, "poly", "--mask", "01", "--n", "3", "--zeros")
@@ -811,6 +860,12 @@ class TestBoundsCommand:
         tails = [line for line in out.splitlines() if line.startswith("tail")]
         assert len(tails) == 2
         assert all(line.endswith("PASS") for line in tails)
+
+    def test_default_m1_prints_tails_for_1_2_3(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--mask", "01", "--n", "6")
+        assert code == 0
+        tails = [line.split()[:3] for line in out.splitlines() if line.startswith("tail")]
+        assert tails == [["tail", "m1", "1"], ["tail", "m1", "2"], ["tail", "m1", "3"]]
 
     def test_ratio_verdicts(self, capsys):
         code, out, _ = run(capsys, "bounds", "--mask", "011", "--n", "5")

@@ -247,14 +247,14 @@ def render_plain(tri: numbers.Triangle) -> str:
     return "".join(_chunks("plain", tri.mask, _triangle_rows(tri)))
 
 
-def _round_bits(num: int, den: int, bits: int) -> tuple[int, int]:
-    """num/den > 0 to ``bits`` significant bits, nearest with ties to even.
+def _round_bits(num: int, den: int) -> tuple[int, int]:
+    """num/den > 0 to 56 significant bits, nearest with ties to even.
 
     Returns (man, exp) with man * 2**exp the rounded value.
     """
-    shift = bits + 2 - num.bit_length() + den.bit_length()  # q has >= bits + 2 bits
+    shift = 56 + 2 - num.bit_length() + den.bit_length()  # q has >= 56 + 2 bits
     q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
-    extra = q.bit_length() - bits
+    extra = q.bit_length() - 56
     man, low, half = q >> extra, q & ((1 << extra) - 1), 1 << (extra - 1)
     if low > half or (low == half and (r or man & 1)):
         man += 1
@@ -276,9 +276,9 @@ def _fstr(x: Fraction) -> str:
     """
     if not x:
         return "0.0"
-    n_man, n_exp = _round_bits(abs(x.numerator), 1, 56)
-    d_man, d_exp = _round_bits(x.denominator, 1, 56)
-    man, exp = _round_bits(n_man, d_man, 56)
+    n_man, n_exp = _round_bits(abs(x.numerator), 1)
+    d_man, d_exp = _round_bits(x.denominator, 1)
+    man, exp = _round_bits(n_man, d_man)
     exp += n_exp - d_exp
     f = max(39 - exp - man.bit_length(), 0)  # the cut value is y / 2**f
     s = exp + f
@@ -605,9 +605,9 @@ def _mask_arg(text: str) -> numbers.Mask:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _clip(text: str, width: int = 40) -> str:
-    """text, cut after ``width`` characters."""
-    return text[:width] + "..." if len(text) > width else text
+def _clip(text: str) -> str:
+    """text, cut after 40 characters."""
+    return text[:40] + "..." if len(text) > 40 else text
 
 
 def _int(part: str, text: str, what: str) -> int:

@@ -33,8 +33,8 @@ All arithmetic is exact: counts are Python ints, weights are
 ``_unsigned_rows``, yields rows of either ints or ``decimal.Decimal``s,
 each step under a context that traps every rounding: a Decimal converts
 to a decimal string in linear time where an int of d digits takes time
-quadratic in d.  A weight of 1, as every step of the Stirling mask 01
-has, is added rather than multiplied.
+quadratic in d.  A left-neighbour weight of 1, as every step of the
+Stirling mask 01 has, is added rather than multiplied.
 """
 
 from __future__ import annotations
@@ -176,18 +176,15 @@ def _row_step(row: list, gc, gp) -> None:
     the same numeric type as the row; slot 0 holds that type's zero and
     stands in for the missing neighbours at both ends.  The pass runs from
     the top slot down, so each old value is read before it is overwritten
-    and the old row is never held beside the new one.  A weight of 1 is
-    added, not multiplied: on big entries a product by 1 costs as much as
-    the other product.
+    and the old row is never held beside the new one.  A ``gc`` of 1, as
+    every step of the masks 0...01 has, is added, not multiplied: on big
+    entries a product by 1 costs as much as the other product.
     """
     top = len(row)
     row.append(row[0])
     if gc == 1:
         for u in range(top, 0, -1):
             row[u] = row[u - 1] + gp * row[u]
-    elif gp == 1:
-        for u in range(top, 0, -1):
-            row[u] = gc * row[u - 1] + row[u]
     else:
         for u in range(top, 0, -1):
             row[u] = gc * row[u - 1] + gp * row[u]
@@ -283,7 +280,7 @@ def value(mask: Mask, n: int, m: int) -> int:
     return _row(mask, n)[u]
 
 
-def explicit_row(mask: Mask, n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> list[int]:
+def explicit_row(mask: Mask, n: int) -> list[int]:
     """Unsigned row n as a slot list ``[0, ...]`` by direct subset expansion.
 
     Independent of the recurrence: slot t, entry m = t + offset - 1, sums
@@ -293,14 +290,14 @@ def explicit_row(mask: Mask, n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -
     j = 2..n, each weight is scaled by its own (j-1)**k once; that each
     scaled weight is an integer is asserted, never assumed.  One pass over
     the 2**(n-1) subsets then adds each subset's int product into the
-    entry of its size, so n is capped (default 12); this is an
+    entry of its size, so n is capped at DEFAULT_SUBSET_LIMIT; this is an
     oracle-scale cross-check, not a fast path.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > subset_limit:
-        raise SubsetLimitError(
-            f"subset expansion is oracle-scale only: n={n} exceeds the limit of {subset_limit}")
+    if n > DEFAULT_SUBSET_LIMIT:
+        raise SubsetLimitError(f"subset expansion is oracle-scale only: "
+                               f"n={n} exceeds the limit of {DEFAULT_SUBSET_LIMIT}")
     comp = mask.complement()
     pairs = []  # (weight of j outside J, weight of j in J) for j = 2..n
     for j in range(2, n + 1):
@@ -317,9 +314,9 @@ def explicit_row(mask: Mask, n: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -
     return [0, *sums]
 
 
-def explicit_value(mask: Mask, n: int, m: int, subset_limit: int = DEFAULT_SUBSET_LIMIT) -> int:
+def explicit_value(mask: Mask, n: int, m: int) -> int:
     """Entry at (n, m) of ``explicit_row``; zero outside the row's support."""
-    return row_entries(mask, explicit_row(mask, n, subset_limit)).get(m, 0)
+    return row_entries(mask, explicit_row(mask, n)).get(m, 0)
 
 
 class IntPolynomial(NamedTuple):

@@ -104,6 +104,19 @@ class TestTriangleCommand:
             with pytest.raises(ValueError, match="newline"):
                 cli.parse_csv(cut)
 
+    def test_csv_without_its_header_is_rejected(self, capsys):
+        _, out, _ = run(capsys, "triangle", "--mask", "101", "--n", "3", "--format", "csv")
+        for text in (out.split("\n", 1)[1], ""):
+            with pytest.raises(ValueError, match="^missing n,m,value header$"):
+                cli.parse_csv(text)
+
+    def test_json_k_that_disagrees_with_its_mask_is_rejected(self, capsys):
+        _, out, _ = run(capsys, "triangle", "--mask", "101", "--n", "3", "--format", "json")
+        data = json.loads(out)
+        data["k"] = 3
+        with pytest.raises(ValueError, match="k field 3 does not match mask 101"):
+            cli.parse_json(json.dumps(data))
+
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out, _ = run(capsys, "triangle", "--mask", "10", "--n", "5", "--format", "json")
         tri = cli.parse_json(out)
@@ -272,6 +285,30 @@ class TestExitCodes:
         assert "error" in err
         assert "'/no-such-directory/t.csv'" in err
         assert ".tmp" not in err
+
+    def test_m1_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--mask", "01", "--n", "3", "--m1", "0")
+        assert code == 2
+        assert out == ""
+        assert "every m1 must be >= 1" in err
+
+    def test_temporary_name_collision_is_an_io_error_naming_out(self, capsys, monkeypatch,
+                                                                tmp_path):
+        # The temporary name is taken with open(..., "x"): a file already
+        # there is neither overwritten nor deleted, and the old file stays.
+        target = tmp_path / "t.txt"
+        target.write_bytes(b"old bytes\n")
+        monkeypatch.setattr(os, "urandom", lambda size: bytes(range(size)))
+        tmp = Path(f"{os.path.realpath(target)}.{bytes(range(6)).hex()}.tmp")
+        tmp.write_bytes(b"colliding bytes\n")
+        code, out, err = run(capsys, "stirling", "--n", "3", "--out", str(target))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(f": {str(target)!r}\n")
+        assert ".tmp" not in err
+        assert target.read_bytes() == b"old bytes\n"
+        assert tmp.read_bytes() == b"colliding bytes\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(["t.txt", tmp.name])
 
     def test_out_naming_the_working_directory_is_an_io_error(self, capsys, monkeypatch,
                                                              tmp_path):

@@ -234,9 +234,10 @@ class TestExplicitValue:
         assert explicit_value(Mask.stirling(), 5, 6) == 0
 
     def test_subset_limit(self):
+        assert numbers.DEFAULT_SUBSET_LIMIT == 12
+        assert explicit_value(Mask.stirling(), 12, 12) == 1
         with pytest.raises(SubsetLimitError):
             explicit_value(Mask.stirling(), 13, 3)
-        assert explicit_value(Mask.stirling(), 13, 13, subset_limit=13) == 1
 
 
 class TestPolynomials:
@@ -361,8 +362,9 @@ class TestDecimalRows:
     @pytest.mark.parametrize("mask", list(all_masks(3)), ids=str)
     def test_equal_to_cached_int_rows(self, mask):
         # One fold yields both types; the always-multiply fold pins its
-        # unit-weight branches (gc == 1 for 01, 001, 0001; gp == 1 for 10,
-        # 110, 1110) and its zero weights (00..0, 11..1).
+        # added-weight branch (gc == 1 for 01, 001, 0001), the general one
+        # where the right weight is 1 (10, 110, 1110) and zero weights
+        # (00..0, 11..1).
         want = list(multiplying_rows(mask, 30))
         assert [tuple(row) for row in numbers._unsigned_rows(mask, 30)] == want
         rows = [tuple(row) for row in numbers._unsigned_rows(mask, 30, decimal.Decimal)]
@@ -410,8 +412,8 @@ def fold_peak_ratio(rows):
 
 
 class TestOneRowFold:
-    # 01 takes the gc == 1 branch of the row step, 10 the gp == 1 branch and
-    # 011 the general one; ratios at n = 300 read 1.04-1.10.
+    # 01 takes the gc == 1 branch of the row step, 10 (whose right weight
+    # is 1) and 011 the general one; ratios at n = 300 read 1.04-1.10.
     @pytest.mark.parametrize("num", [int, decimal.Decimal], ids=["int", "Decimal"])
     @pytest.mark.parametrize("text", ["01", "10", "011"])
     def test_unsigned_rows_hold_one_row(self, text, num):

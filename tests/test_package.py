@@ -49,3 +49,21 @@ def test_star_import_binds_exactly_the_public_names():
 def test_version_matches_pyproject():
     match = re.search(r'^version\s*=\s*"([^"]+)"', PYPROJECT.read_text(), re.MULTILINE)
     assert match and seqopt.__version__ == match.group(1)
+
+
+STIRLING = numbers.Mask.stirling()
+N_TAKERS = {
+    "numbers.explicit_row": lambda n: numbers.explicit_row(STIRLING, n),
+    "numbers.rising_poly": lambda n: numbers.rising_poly(STIRLING, n),
+    "numbers.poly_zeros": lambda n: numbers.poly_zeros(STIRLING, n),
+    "bounds.ocmax": lambda n: bounds.ocmax(STIRLING, n, 1),
+    "bounds.tail_probability": lambda n: bounds.tail_probability(STIRLING, n, 1),
+    "oracle.histogram": lambda n: oracle.histogram(STIRLING, n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(N_TAKERS))
+def test_row_functions_refuse_n_below_one(name, n):
+    with pytest.raises(ValueError, match=rf"^n must be >= 1, got {n}$"):
+        N_TAKERS[name](n)

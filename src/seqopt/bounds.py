@@ -42,17 +42,22 @@ over the denominator's known factors, (n-1)! * (n!)**k and b**(n-1),
 never by a gcd of two numbers as long as the sum.
 
 Everything stays rational.  e**x, e, ln(n-1) and pi enter only as
-enclosures: pairs of integers lo <= c * 2**w <= hi, rounded outward at
-every step, from classical series (Taylor for e**x, atanh for the
-logarithm, Machin's formula for pi).  A comparison or a ceiling is
-decided from an enclosure once both ends agree; the precision doubles
-from 64 bits until they do, and past 2**14 bits the step raises
-``RuntimeError``.  The ratio checks keep the fixed 1e-12 acceptance
-margin on top of the bound.
+enclosures lo <= c <= hi with ``Fraction`` ends.  e**x, e and ln(n-1)
+are ``decimal``'s correctly rounded ``Context.exp`` and ``Context.ln`` at
+p significant digits, each end moved one unit outward unless the result
+is exact (e**0 = 1, ln 1 = 0); e**x takes x rounded down and up to p
+digits.  pi alone keeps a series, Machin's formula, summed in integers
+rounded outward at every step.  A comparison or a ceiling is decided
+from an enclosure once both ends agree; p doubles from 20 digits until
+they do, and past 5120 digits (beyond the 4932 of 2**14 bits) the step
+raises ``RuntimeError``.  The ratio checks keep the fixed 1e-12
+acceptance margin on top of the bound.
 """
 
 from __future__ import annotations
 
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal,
+                     Inexact)
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, exp, factorial, gcd
@@ -61,9 +66,10 @@ from typing import NamedTuple
 from .numbers import Mask, _row, f_weight, g_weight
 
 MARGIN = Fraction(1, 10**12)
-# Enclosures start at _START_BITS bits and double until they settle.
-_START_BITS = 64
-_CAP_BITS = 1 << 14
+# Enclosures start at _START_DIGITS significant digits and double until
+# they settle; 20 digits are about 64 bits, 5120 pass the 4932 of 2**14 bits.
+_START_DIGITS = 20
+_CAP_DIGITS = 5120
 
 __all__ = [
     "BoundReport",
@@ -80,61 +86,51 @@ __all__ = [
 ]
 
 
-def _exp_bounds(x: Fraction, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, w) with lo <= e**x * 2**w <= hi, all ints, and w >= bits.
+def _enclosure(op, down: Decimal, up: Decimal, digits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= op(y) <= hi for down <= y <= up, op = Context.exp or Context.ln.
 
-    |x| is halved r times to z < 1/2.  e**z is the Taylor sum of
-    z**i / i!, each term rounded outward, up to the first term whose upper
-    end is at most 1; the terms after it add less than that term, as
-    z / (i + 1) <= 1/4.  The sum is squared back r times, floored below and
-    ceiled above, and inverted when x < 0.
+    lo is op(down) and hi is op(up), each correctly rounded to digits
+    significant digits by ``decimal`` and moved one unit in its last digit
+    outward (down, up) unless the result is exact.
     """
-    a, b = abs(x.numerator), x.denominator
-    r = max(0, (2 * a).bit_length() - b.bit_length() + 1)  # |x| / 2**r < 1/2
-    w = bits + 2 * r + 8  # each squaring doubles the relative error
-    b <<= r
-    lo = hi = t_lo = t_hi = 1 << w
-    i = 0
-    while t_hi > 1:
-        i += 1
-        t_lo = t_lo * a // (b * i)
-        t_hi = -(-t_hi * a // (b * i))
-        lo += t_lo
-        hi += t_hi
-    hi += t_hi  # the remainder
-    for _ in range(r):
-        lo = lo * lo >> w
-        hi = -(-hi * hi >> w)
-    if x < 0:
-        lo, hi = (1 << 2 * w) // hi, -(-(1 << 2 * w) // lo)
-    return lo, hi, w
+    ends = []
+    for y, step in ((down, Context.next_minus), (up, Context.next_plus)):
+        # The widest exponent range: e**y neither underflows nor overflows for |y| < 10**18.
+        ctx = Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)
+        r = op(ctx, y)
+        ends.append(Fraction(step(ctx, r) if ctx.flags[Inexact] else r))
+    return ends[0], ends[1]
+
+
+def _exp_enclosure(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= e**x <= hi: the _enclosure of exp at x rounded down and up to digits digits."""
+    a, b = Decimal(x.numerator), Decimal(x.denominator)
+    return _enclosure(Context.exp, Context(prec=digits, rounding=ROUND_FLOOR).divide(a, b),
+                      Context(prec=digits, rounding=ROUND_CEILING).divide(a, b), digits)
 
 
 def exp_bound_holds(lhs: Fraction, exponent) -> bool:
     """True when lhs <= e**exponent + 1e-12, decided exactly.
 
     e**exponent + 1e-12 is irrational unless exponent is 0, so some
-    enclosure of e**exponent (``_exp_bounds``) settles the comparison;
-    the precision doubles until one does.  lhs is only cross-multiplied,
-    never divided or reduced.
+    enclosure of e**exponent settles the comparison: ``_exp_enclosure``,
+    from ``decimal``'s correctly rounded exp widened by one unit, at
+    20 significant digits and doubling, up to 5120.  lhs is only
+    cross-multiplied against the enclosure's ends, never divided or
+    reduced.
     """
     if lhs <= MARGIN:
         return True  # e**exponent > 0, so no enclosure is needed
     x = Fraction(exponent)
-    num, den = lhs.numerator, lhs.denominator
-    bits = _START_BITS
-    while bits <= _CAP_BITS:
-        lo, hi, w = _exp_bounds(x, bits)
-        # lhs <= c/2**w + MARGIN, times 2**w * den * MARGIN.denominator: true
-        # at c = lo settles it true, false at c = hi settles it false.
-        left = num * MARGIN.denominator << w
-        margin = MARGIN.numerator << w
-        if left <= (lo * MARGIN.denominator + margin) * den:
+    digits = _START_DIGITS
+    while digits <= _CAP_DIGITS:
+        lo, hi = _exp_enclosure(x, digits)
+        if lhs <= lo + MARGIN:
             return True
-        if left > (hi * MARGIN.denominator + margin) * den:
+        if lhs > hi + MARGIN:
             return False
-        bits *= 2
-    raise RuntimeError(f"lhs is within 2**-{_CAP_BITS} of e**{x} + {MARGIN}: undecided")
+        digits *= 2
+    raise RuntimeError(f"lhs is within {_CAP_DIGITS} digits of e**{x} + {MARGIN}: undecided")
 
 
 def h_dots(mask: Mask, max_n: int):
@@ -328,42 +324,35 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-def _odd_series(p: int, q: int, w: int, sign: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= 2**w * S <= hi for S = sum of sign**i * t**(2i+1) / (2i+1), t = p/q.
+def _atan_bounds(p: int, q: int, scale: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= scale * atan(t) <= hi, t = p/q, 0 <= t <= 1/2.
 
-    sign 1 gives atanh(t), sign -1 gives atan(t); 0 <= t <= 1/2.  Each
-    term is rounded outward; the sum stops at the first term whose upper
-    end is at most 1, and what follows is within twice that term either
-    way, as t**2 <= 1/4.
+    atan(t) is the sum of (-1)**i * t**(2i+1) / (2i+1).  Each term is
+    rounded outward; the sum stops at the first term whose upper end is
+    at most 1, and what follows is within twice that term either way, as
+    t**2 <= 1/4.
     """
     pp, qq = p * p, q * q
-    pow_lo, pow_hi = (p << w) // q, -(-(p << w) // q)  # t**(2i+1) * 2**w
+    pow_lo, pow_hi = p * scale // q, -(-p * scale // q)  # scale * t**(2i+1)
     lo = hi = 0
-    d, s = 1, 1
+    d = 1
     while pow_hi > 1:
         term_lo, term_hi = pow_lo // d, -(-pow_hi // d)
-        if s > 0:
+        if d % 4 == 1:
             lo, hi = lo + term_lo, hi + term_hi
         else:
             lo, hi = lo - term_hi, hi - term_lo
         pow_lo, pow_hi = pow_lo * pp // qq, -(-pow_hi * pp // qq)
-        d, s = d + 2, s * sign
+        d += 2
     return lo - 2 * pow_hi, hi + 2 * pow_hi
 
 
-def _ln_pi_bounds(m: int, w: int) -> tuple[int, int, int, int]:
-    """(ln_lo, ln_hi, pi_lo, pi_hi): enclosures of ln(m) and pi at scale 2**w, m >= 1.
-
-    ln m = j ln 2 + 2 atanh((m - 2**j) / (m + 2**j)) with 2**j <= m < 2**(j+1),
-    ln 2 = 2 atanh(1/3), and pi = 16 atan(1/5) - 4 atan(1/239) (Machin).
-    """
-    j = m.bit_length() - 1
-    l2_lo, l2_hi = _odd_series(1, 3, w, 1)
-    u_lo, u_hi = _odd_series(m - (1 << j), m + (1 << j), w, 1)
-    a_lo, a_hi = _odd_series(1, 5, w, -1)
-    b_lo, b_hi = _odd_series(1, 239, w, -1)
-    return (2 * (j * l2_lo + u_lo), 2 * (j * l2_hi + u_hi),
-            16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo)
+def _pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= pi <= hi, from Machin's pi = 16 atan(1/5) - 4 atan(1/239) at scale 10**digits."""
+    scale = 10**digits
+    a_lo, a_hi = _atan_bounds(1, 5, scale)
+    b_lo, b_hi = _atan_bounds(1, 239, scale)
+    return Fraction(16 * a_lo - 4 * b_hi, scale), Fraction(16 * a_hi - 4 * b_lo, scale)
 
 
 def tail_threshold(mask: Mask, n: int, m1: int) -> int:
@@ -371,9 +360,11 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
 
     Returns ceil(e*k*c_1*(ln(n-1) + 1) + e*(pi**2/6)*sum_{p>=2} c_p*comb(k, p))
     plus m1, with natural logarithms.  The ceiling is exact: it is taken
-    once both ends of the enclosure share it.  The row mass strictly
-    beyond index M + offset - 1 then stays within e**-m1; see
-    tail_probability.
+    once both ends of the enclosure share it.  e and ln(n-1) come from
+    ``decimal``'s correctly rounded exp and ln widened by one unit, pi
+    from Machin's series, all at 20 significant digits and doubling, up
+    to 5120.  The row mass strictly beyond index M + offset - 1 then
+    stays within e**-m1; see tail_probability.
     """
     if mask.bits[0] != 0:
         raise ValueError("mask has first bit 1; its upper tail is not concentrated, "
@@ -385,20 +376,20 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     k, bits = mask.k, mask.bits
     c1 = k * bits[1]
     c2 = sum(bits[p] * comb(k, p) for p in range(2, k + 1))
-    w = _START_BITS
-    while w <= _CAP_BITS:
-        e_lo, e_hi, we = _exp_bounds(Fraction(1), w)
-        ln_lo, ln_hi, pi_lo, pi_hi = _ln_pi_bounds(n - 1, w)
-        # Every factor is nonnegative, so the ends combine end by end.
-        lo = Fraction(e_lo, 1 << we) * (c1 * (Fraction(ln_lo, 1 << w) + 1)
-                                        + c2 * Fraction(pi_lo, 1 << w) ** 2 / 6)
-        hi = Fraction(e_hi, 1 << we) * (c1 * (Fraction(ln_hi, 1 << w) + 1)
-                                        + c2 * Fraction(pi_hi, 1 << w) ** 2 / 6)
+    digits = _START_DIGITS
+    while digits <= _CAP_DIGITS:
+        e_lo, e_hi = _exp_enclosure(Fraction(1), digits)
+        ln_lo, ln_hi = _enclosure(Context.ln, Decimal(n - 1), Decimal(n - 1), digits)
+        pi_lo, pi_hi = _pi_enclosure(digits)
+        # Every end but pi_lo at 1 digit (-0.8) is nonnegative, and pi_lo**2
+        # stays below pi**2 there too, so the ends combine end by end.
+        lo = e_lo * (c1 * (ln_lo + 1) + c2 * pi_lo**2 / 6)
+        hi = e_hi * (c1 * (ln_hi + 1) + c2 * pi_hi**2 / 6)
         if ceil(lo) == ceil(hi):
             return ceil(hi) + m1
-        w *= 2
-    raise RuntimeError(f"tail threshold of mask {mask} at n={n} is within 2**-{_CAP_BITS} "
-                       "of an integer: undecided")
+        digits *= 2
+    raise RuntimeError(f"tail threshold of mask {mask} at n={n} is within {_CAP_DIGITS} "
+                       "digits of an integer: undecided")
 
 
 def _row_mass(mask: Mask, row, lo: int, hi: int) -> Fraction:

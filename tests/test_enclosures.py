@@ -1,13 +1,16 @@
 """Exact enclosures and the preview formatter, against mpmath.
 
-The package decides e**x comparisons and the tail threshold from integer
-enclosures and formats previews in integers.  Here each is checked
-against mpmath, a test-only dependency: the 50-digit formulas the
-enclosures replaced, reference values at higher precision, and
-``mpmath.nstr``, whose output the formatter reproduces.
+The package decides e**x comparisons and the tail threshold from
+enclosures with rational ends (``decimal``'s exp and ln widened by one
+unit, and Machin's series for pi) and formats previews in integers.
+Here each is checked against mpmath, a test-only dependency: the
+50-digit formulas the enclosures replaced, reference values at higher
+precision, and ``mpmath.nstr``, whose output the formatter reproduces.
+CI runs this file on the pure-Python ``decimal`` as well as the C one.
 """
 
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -53,34 +56,52 @@ def mp_nstr(x: Fraction) -> str:
 
 # ----------------------------------------------------------------- enclosures
 
-def assert_encloses(lo: int, hi: int, value) -> None:
-    """lo <= value <= hi for an mpf value computed well past the integers' precision."""
-    assert lo <= value <= hi, (lo, hi, value)
+def assert_encloses(lo: Fraction, hi: Fraction, value) -> None:
+    """lo <= value <= hi for an mpf value computed well past the ends' precision."""
+    assert lo <= mp_fraction(value) <= hi, (lo, hi, value)
+
+
+def unit(v: Fraction, digits: int) -> Fraction:
+    """One unit in the digits-th significant digit of v > 0."""
+    e = len(str(v.numerator)) - len(str(v.denominator))  # floor(log10 v) or one above
+    if Fraction(10) ** e > v:
+        e -= 1
+    return Fraction(10) ** (e - digits + 1)
+
+
+def exp_ends(x: Fraction, digits: int):
+    """_exp_enclosure(x, digits), checked to enclose e**x."""
+    lo, hi = bounds._exp_enclosure(x, digits)
+    with mpmath.workdps(digits + 60):
+        assert_encloses(lo, hi, mpmath.exp(mpmath.mpf(x.numerator) / x.denominator))
+    return lo, hi
 
 
 class TestExpBounds:
     @settings(max_examples=300, deadline=None)
     @given(st.fractions(min_value=-60, max_value=60, max_denominator=10**30),
-           st.sampled_from([0, 1, 2, 8, 64, 200]))
-    @example(Fraction(0), 64)
-    @example(Fraction(1), 64)
-    @example(Fraction(-1, 3), 8)
-    def test_encloses_and_is_as_tight_as_asked(self, x, bits):
-        lo, hi, w = bounds._exp_bounds(x, bits)
-        assert w >= bits
-        with mpmath.workprec(w + 200):
-            value = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator) * mpmath.mpf(2) ** w
-            assert_encloses(lo, hi, value)
-        # width at most 2**-bits, relative for e**x >= 1 and absolute below
-        assert (hi - lo) << bits <= max(hi, 1 << w)
+           st.sampled_from([1, 2, 3, 8, 20, 64]))
+    @example(Fraction(0), 20)
+    @example(Fraction(1), 20)
+    @example(Fraction(-1, 3), 3)
+    @example(Fraction(-60), 1)
+    def test_encloses_and_is_as_tight_as_asked(self, x, digits):
+        lo, hi = exp_ends(x, digits)
+        # Two units in the digits-th digit when x has at most digits digits;
+        # otherwise e**y also spreads over x's rounding interval, one unit
+        # of x's digits-th digit wide: at most hi * |x| * 10**(1 - digits),
+        # below 10 * |x| units of hi, plus a unit for rounding the two ends.
+        exact = Fraction(Context(prec=digits).divide(Decimal(x.numerator),
+                                                     Decimal(x.denominator))) == x
+        assert hi - lo <= (2 if exact else 3 + 10 * abs(x)) * unit(hi, digits)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("bits", range(8, 40))
-    def test_dyadic_arguments_against_exact_taylor_bounds(self, sign, bits):
+    @pytest.mark.parametrize("digits", range(8, 40))
+    def test_dyadic_arguments_against_exact_taylor_bounds(self, sign, digits):
         # For 0 < z <= 1/2, sum_{j <= 8} z**j / j! < e**z < that + 2 z**9 / 9!,
         # in exact rationals.  At z = 2**-s the leading terms are exact, so
         # these catch an enclosure that is off by a single unit.
-        for s in range(1, 2 * bits + 20):
+        for s in range(1, 4 * digits + 20):
             z = Fraction(1, 2**s)
             partial, term = Fraction(0), Fraction(1)
             for j in range(9):
@@ -89,35 +110,52 @@ class TestExpBounds:
             below, above = partial, partial + 2 * term
             if sign < 0:
                 below, above = 1 / above, 1 / below
-            lo, hi, w = bounds._exp_bounds(sign * z, bits)
-            assert lo <= above * 2**w
-            assert hi >= below * 2**w
+            lo, hi = bounds._exp_enclosure(sign * z, digits)
+            assert lo <= above
+            assert hi >= below
+
+    @pytest.mark.parametrize("x, digits", [
+        # The correctly rounded e**x lies above e**x here, so a lower end not
+        # moved outward misses it: e rounds up to 3, e**-1 = 0.36788 to 0.4
+        # and 0.37, e**(1/3) = 1.39561 to 1.4.
+        (Fraction(1), 1), (Fraction(-1), 1), (Fraction(-1), 2), (Fraction(1, 3), 2),
+        (Fraction(60), 20), (Fraction(-60), 20),
+        # ... and below it here, which an upper end not moved outward misses:
+        # e to 2.7, e**(1/3) = 1.395612425 to 1 and 1.3956124.
+        (Fraction(1), 2), (Fraction(1, 3), 1), (Fraction(1, 3), 8), (Fraction(-1, 3), 8),
+        (Fraction(60), 3),
+        # x rounded to nearest, not down and up, moves e**x by several units.
+        (Fraction(91, 3), 8), (Fraction(-91, 3), 20), (Fraction(50, 7), 20),
+        (Fraction(-50, 7), 3),
+    ], ids=str)
+    def test_correct_rounding_on_the_wrong_side(self, x, digits):
+        exp_ends(x, digits)
 
     def test_exact_at_zero(self):
-        lo, hi, w = bounds._exp_bounds(Fraction(0), 64)
-        assert lo == hi == 2**w
+        assert bounds._exp_enclosure(Fraction(0), 20) == (1, 1)
 
 
 class TestSeriesBounds:
-    @pytest.mark.parametrize("w", [0, 1, 2, 3, 8, 64, 301])
-    def test_log_and_pi(self, w):
-        for m in [*range(1, 200), 1023, 1024, 1025, 10**6 + 3]:
-            ln_lo, ln_hi, pi_lo, pi_hi = bounds._ln_pi_bounds(m, w)
-            with mpmath.workprec(w + 200):
-                assert_encloses(ln_lo, ln_hi, mpmath.log(m) * mpmath.mpf(2) ** w)
-                assert_encloses(pi_lo, pi_hi, mpmath.pi * mpmath.mpf(2) ** w)
-            # each term costs at most a unit or two, over about w / 3 terms
-            assert ln_hi - ln_lo <= 2 * m.bit_length() * (w + 8)
-            assert pi_hi - pi_lo <= 16 * (w + 8)
+    @pytest.mark.parametrize("digits", [1, 2, 3, 8, 20, 64, 301])
+    def test_log_and_pi(self, digits):
+        with mpmath.workdps(digits + 60):
+            pi_lo, pi_hi = bounds._pi_enclosure(digits)
+            assert_encloses(pi_lo, pi_hi, mpmath.pi)
+            # each Machin term costs at most a unit or two, over about digits terms
+            assert (pi_hi - pi_lo) * 10**digits <= 16 * (digits + 8)
+            assert bounds._enclosure(Context.ln, Decimal(1), Decimal(1), digits) == (0, 0)
+            for m in [*range(2, 200), 1023, 1024, 1025, 10**6 + 3]:
+                lo, hi = bounds._enclosure(Context.ln, Decimal(m), Decimal(m), digits)
+                assert_encloses(lo, hi, mpmath.log(m))
+                assert hi - lo <= 2 * unit(hi, digits)
 
-    def test_atan_and_atanh(self):
+    def test_atan(self):
         for p, q in [(1, 2), (1, 3), (2, 5), (1, 239), (0, 7), (7, 15)]:
             for w in (0, 1, 2, 3, 4, 10, 100, 1000):
-                with mpmath.workprec(w + 200):
-                    scale = mpmath.mpf(2) ** w
-                    t = mpmath.mpf(p) / q
-                    assert_encloses(*bounds._odd_series(p, q, w, 1), mpmath.atanh(t) * scale)
-                    assert_encloses(*bounds._odd_series(p, q, w, -1), mpmath.atan(t) * scale)
+                for scale in (2**w, 10**w):
+                    with mpmath.workprec(w * 4 + 200):
+                        lo, hi = bounds._atan_bounds(p, q, scale)
+                        assert lo <= mpmath.atan(mpmath.mpf(p) / q) * scale <= hi
 
 
 # ------------------------------------------------------------ exp_bound_holds
@@ -162,16 +200,16 @@ class TestExpBoundHolds:
     def test_lhs_within_the_margin_holds_without_an_enclosure(self, monkeypatch):
         # e**x > 0, so lhs <= MARGIN holds for any x; a tail mass of 0 at a
         # huge m1 must not enclose e**-m1.
-        def refuse(x, bits):
-            raise AssertionError(f"enclosed e**{x} at {bits} bits")
-        monkeypatch.setattr(bounds, "_exp_bounds", refuse)
+        def refuse(x, digits):
+            raise AssertionError(f"enclosed e**{x} at {digits} digits")
+        monkeypatch.setattr(bounds, "_exp_enclosure", refuse)
         assert bounds.exp_bound_holds(Fraction(0), -10**9)
         assert bounds.exp_bound_holds(bounds.MARGIN, 5)
 
     def test_raises_past_the_cap(self, monkeypatch):
         with mpmath.workdps(80):
             edge = mp_fraction(mpmath.e + mpmath.mpf(10) ** -12)
-        monkeypatch.setattr(bounds, "_CAP_BITS", 128)
+        monkeypatch.setattr(bounds, "_CAP_DIGITS", 40)
         with pytest.raises(RuntimeError, match="undecided"):
             bounds.exp_bound_holds(edge + Fraction(1, 10**60), 1)
 
@@ -189,31 +227,31 @@ class TestTailThreshold:
                     [core + 1, core + 2, core + 3], (str(mask), n)
 
     def test_raises_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_CAP_BITS", bounds._START_BITS - 1)
+        monkeypatch.setattr(bounds, "_CAP_DIGITS", bounds._START_DIGITS - 1)
         with pytest.raises(RuntimeError, match="undecided"):
             bounds.tail_threshold(Mask.stirling(), 10, 1)
 
     def test_doubles_the_precision_until_the_ceiling_settles(self, monkeypatch):
-        # 64 bits settle every ceiling at once; from 4 bits the loop must
-        # double through 8 and 16 to the same answer.
+        # 20 digits settle every ceiling at once; from 1 digit the loop must
+        # double through 2 and 4 to the same answer.
         cases = [(mask, n) for mask in ALL_MASKS if mask.bits[0] == 0 for n in (2, 10, 300)]
         assert len(cases) == 42
         want = [bounds.tail_threshold(mask, n, 1) for mask, n in cases]
-        real, seen, widths = bounds._exp_bounds, [], set()
+        real, seen, widths = bounds._exp_enclosure, [], set()
 
-        def spy(x, bits):
-            seen.append(bits)
+        def spy(x, digits):
+            seen.append(digits)
             if len(seen) > 20:  # a broken doubling would loop forever
                 raise AssertionError(f"precision never settled: {seen}")
-            return real(x, bits)
+            return real(x, digits)
 
-        monkeypatch.setattr(bounds, "_START_BITS", 4)
-        monkeypatch.setattr(bounds, "_exp_bounds", spy)
+        monkeypatch.setattr(bounds, "_START_DIGITS", 1)
+        monkeypatch.setattr(bounds, "_exp_enclosure", spy)
         for (mask, n), w in zip(cases, want):
             seen.clear()
             assert bounds.tail_threshold(mask, n, 1) == w, (str(mask), n)
             widths.update(seen)
-        assert {4, 8, 16} <= widths
+        assert {1, 2, 4} <= widths
 
 
 # ----------------------------------------------------------------------- _fstr

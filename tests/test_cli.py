@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqopt.cli as cli
-from seqopt import bounds, numbers
+from seqopt import bounds, numbers, render
 from seqopt.numbers import Mask, triangle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -970,9 +970,9 @@ class TestBoundsCommand:
     def test_rendered_row_equals_the_fraction_row(self, mask):
         for n in range(1, 21):
             row = bounds.ocmax_row(mask, n)
-            texts = cli._power_fraction_strs(bounds.h_dot(n, mask),
+            texts = render._power_fraction_strs(bounds.h_dot(n, mask),
                                              bounds.ocmax_cofactors(mask, n))
-            assert list(texts) == [cli._exact_str(row[m]) for m in mask.support(n)], n
+            assert list(texts) == [render._exact_str(row[m]) for m in mask.support(n)], n
 
 
 @st.composite
@@ -993,7 +993,7 @@ def power_fractions(draw):
 
 
 class TestPowerFractionStrs:
-    """cli._power_fraction_strs is str(Fraction(a**s * p, b**s * q)), pair by pair."""
+    """render._power_fraction_strs is str(Fraction(a**s * p, b**s * q)), pair by pair."""
 
     @settings(max_examples=300, deadline=None)
     @given(power_fractions())
@@ -1009,18 +1009,18 @@ class TestPowerFractionStrs:
         lam, pairs = case
         a, b = lam.numerator, lam.denominator
         want = [str(Fraction(a**s * p, b**s * q)) for s, (p, q) in enumerate(pairs)]
-        assert list(cli._power_fraction_strs(lam, pairs)) == want
+        assert list(render._power_fraction_strs(lam, pairs)) == want
 
     def test_forced_gcds_of_the_powers(self):
         # At s = 2 the pair reduces by g1 = 3, ga = 4 and gb = 25.
         lam, pairs = Fraction(2, 5), [(1, 1), (1, 1), (3 * 25 * 7, 3 * 4 * 11)]
-        assert list(cli._power_fraction_strs(lam, pairs)) == ["1", "2/5", "7/11"]
+        assert list(render._power_fraction_strs(lam, pairs)) == ["1", "2/5", "7/11"]
 
     def test_a_divisor_that_does_not_divide_raises(self):
         with decimal.localcontext(numbers._EXACT):
-            assert cli._exact_quotient(decimal.Decimal(10**40), 2**40) == 5**40
+            assert render._exact_quotient(decimal.Decimal(10**40), 2**40) == 5**40
             with pytest.raises(RuntimeError, match="internal inconsistency"):
-                cli._exact_quotient(decimal.Decimal(10), 3)
+                render._exact_quotient(decimal.Decimal(10), 3)
 
 
 class TestStirlingCommand:
@@ -1038,19 +1038,43 @@ class TestStirlingCommand:
         assert code == 1
         assert "MISMATCH" in out
 
-    def test_middle_row_mismatch_lines(self, capsys, monkeypatch):
-        mask = Mask.stirling()
-        changing_rows(monkeypatch, mask, 3, plus_one)
-        ref = numbers.stirling_ref(7)
+    @staticmethod
+    def mismatch_lines(max_n):
+        """The MISMATCH lines of the mask 01 fold, as patched, against stirling_ref."""
+        mask, ref = Mask.stirling(), numbers.stirling_ref(max_n)
         want = []
-        for n, urow in enumerate(numbers._unsigned_rows(mask, 7), 1):
+        for n, urow in enumerate(numbers._unsigned_rows(mask, max_n), 1):
             got = numbers.row_entries(mask, urow)
             want += [f"MISMATCH n={n} m={m} triangle={got.get(m, 0)} "
                      f"reference={ref[n].get(m, 0)}"
                      for m in sorted(set(got) | set(ref[n]))
                      if got.get(m, 0) != ref[n].get(m, 0)]
+        return want
+
+    def test_middle_row_mismatch_lines(self, capsys, monkeypatch):
+        changing_rows(monkeypatch, Mask.stirling(), 3, plus_one)
+        want = self.mismatch_lines(7)
         assert want == ["MISMATCH n=3 m=1 triangle=3 reference=2"]
         assert run(capsys, "stirling", "--n", "7") == (1, "\n".join(want) + "\n", "")
+
+    def test_streams_its_mismatch_lines(self, monkeypatch, tmp_path):
+        # With g_weight(3, ~01) one too large every row from 3 on differs, in
+        # 11174 lines (2.7 MB) at n = 150; holding them all until the end
+        # peaked at about 8.9 MiB.
+        real, comp = numbers.g_weight, Mask.from_string("10")
+        monkeypatch.setattr(numbers, "g_weight",
+                            lambda j, vec: real(j, vec) + (1 if (j, vec) == (3, comp) else 0))
+        want = self.mismatch_lines(150)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli.main(["stirling", "--n", "150", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, len(want)) == (1, 11174)
+        assert peak < 2**20, peak
+        assert out.read_text() == "\n".join(want) + "\n"
 
     def test_trailing_slot_past_the_reference_row(self, capsys, monkeypatch):
         # Row 4 gains a nonzero slot m = 5 that the reference row 4 lacks; a
@@ -1159,36 +1183,36 @@ _EDGES = sorted({x for w in _EDGE_WIDTHS for x in (2**w - 1, 2**w)}
 
 @pytest.mark.usefixtures("unlimited_int_str")
 class TestExactStr:
-    """cli._exact_str is byte-for-byte builtin str for ints and Fractions."""
+    """render._exact_str is byte-for-byte builtin str for ints and Fractions."""
 
     @settings(max_examples=60, deadline=None)
     @given(big_ints)
     def test_ints_equal_builtin_str(self, x):
-        assert cli._exact_str(x) == str(x)
+        assert render._exact_str(x) == str(x)
 
     @settings(max_examples=40, deadline=None)
     @given(big_ints, st.one_of(st.just(1), big_ints.filter(bool).map(abs)))
     def test_fractions_equal_builtin_str(self, num, den):
         x = Fraction(num, den)
-        assert cli._exact_str(x) == str(x)
+        assert render._exact_str(x) == str(x)
 
     def test_zero_signs_and_whole_fractions(self):
         for x in (0, 1, -1, 9, 10, -10**6, Fraction(0), Fraction(-7), Fraction(-3, 4),
                   Fraction(10**700, 1), Fraction(-(2**5000)), Fraction(-(2**5000), 3)):
-            assert cli._exact_str(x) == str(x)
+            assert render._exact_str(x) == str(x)
 
     def test_leaf_and_split_edges(self):
         assert len(_EDGES) > 50
         for x in _EDGES:
             for signed in (x, -x):
-                assert cli._exact_str(signed) == str(signed), x.bit_length()
+                assert render._exact_str(signed) == str(signed), x.bit_length()
 
     def test_exact_inside_a_low_precision_caller_context(self):
         x = 3**100_000
         with decimal.localcontext(decimal.Context(prec=5)) as ctx:
             before = repr(ctx)
-            assert cli._exact_str(x) == str(x)
-            assert cli._exact_str(Fraction(-x, 7)) == f"-{x}/7"
+            assert render._exact_str(x) == str(x)
+            assert render._exact_str(Fraction(-x, 7)) == f"-{x}/7"
             assert decimal.getcontext() is ctx
             assert repr(ctx) == before
 
@@ -1198,7 +1222,7 @@ class TestExactStr:
         monkeypatch.setattr(numbers, "_EXACT", numbers._EXACT.copy())
         numbers._EXACT.prec = 50
         with pytest.raises((decimal.Inexact, decimal.Rounded)):
-            cli._exact_str(2**5000 + 1)
+            render._exact_str(2**5000 + 1)
 
     def test_threads_on_a_cold_power_cache(self):
         rng = random.Random(5)
@@ -1208,19 +1232,19 @@ class TestExactStr:
         errors = []
         start = threading.Barrier(4)
 
-        def render(first):
+        def convert(first):
             try:
                 start.wait(timeout=30)
                 for i in range(first, len(values), 4):
-                    cli._POW2.clear()
-                    got[i] = cli._exact_str(values[i])
+                    render._POW2.clear()
+                    got[i] = render._exact_str(values[i])
             except Exception as exc:  # reported through the assertion below
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=render, args=(i,)) for i in range(4)]
+            workers = [threading.Thread(target=convert, args=(i,)) for i in range(4)]
             for w in workers:
                 w.start()
             for w in workers:
@@ -1243,8 +1267,8 @@ class TestExactStr:
                  "dominance PASS" for m in mask.support(n)]
         want += [f"tail m1 {t.m1} M {t.threshold} probability {t.probability} "
                  f"bound {t.bound!r} PASS" for t in tails]
-        want += [f"ratio {rep.ratio} (~{cli._fstr(rep.ratio)}) within e^lambda PASS",
-                 f"ratio_prime {rep.ratio_prime} (~{cli._fstr(rep.ratio_prime)}) "
+        want += [f"ratio {rep.ratio} (~{render._fstr(rep.ratio)}) within e^lambda PASS",
+                 f"ratio_prime {rep.ratio_prime} (~{render._fstr(rep.ratio_prime)}) "
                  "within e^lambda_prime PASS"]
         code, out, _ = run(capsys, "bounds", "--mask", "01", "--n", str(n))
         assert code == 0

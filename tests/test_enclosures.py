@@ -19,7 +19,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqopt import bounds, cli, numbers
+from seqopt import bounds, numbers, render
 from seqopt.numbers import Mask
 
 ALL_MASKS = [Mask(bits) for k in (1, 2, 3) for bits in product((0, 1), repeat=k + 1)]
@@ -306,25 +306,25 @@ class TestFstr:
         (Fraction(19999995, 2), "1.0e+7"),
     ], ids=str)
     def test_layout(self, x, text):
-        assert cli._fstr(x) == text
+        assert render._fstr(x) == text
 
     @pytest.mark.parametrize("e", [13301, 26602, 37767])
     def test_exponents_where_the_binary_estimate_is_one_too_high(self, e):
         # (bits - 1) * 30103 // 100000 exceeds floor(log10 2**e) here, so the
         # digit loop must step the decimal exponent down.
         assert 10 ** (e * 30103 // 100000) > 2**e
-        assert cli._fstr(Fraction(2**e)) == mp_nstr(Fraction(2**e))
+        assert render._fstr(Fraction(2**e)) == mp_nstr(Fraction(2**e))
 
     def test_first_exponent_where_the_binary_estimate_is_one_too_high(self):
-        assert cli._fstr(Fraction(2**13301)) == "9.99936e+4003"
+        assert render._fstr(Fraction(2**13301)) == "9.99936e+4003"
 
     def test_large_ratio_preview(self):
-        assert cli._fstr(bounds.upper_ratio(Mask.from_string("10"), 300)) == "1.49091e+126"
+        assert render._fstr(bounds.upper_ratio(Mask.from_string("10"), 300)) == "1.49091e+126"
 
     def test_upper_ratio_previews(self):
         xs = [bounds.upper_ratio(mask, n) for mask in ALL_MASKS for n in range(2, 61)]
         assert len(xs) == 1652
-        assert [cli._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
+        assert [render._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
 
     def test_random_rationals(self):
         rng = random.Random(20260118)
@@ -333,12 +333,12 @@ class TestFstr:
             num = rng.getrandbits(rng.randint(1, 400))
             den = rng.getrandbits(rng.randint(1, 400)) or 1
             xs.append(Fraction(-num if rng.random() < 0.1 else num, den))
-        assert [cli._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
+        assert [render._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
 
     def test_decimal_ties(self):
         xs = list(decimal_ties(random.Random(5)))
         assert len(xs) > 900
-        assert [cli._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
+        assert [render._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
 
     def test_small_denominator_ties(self):
         # Every tie p/q with q = 2**a * 5**b <= 2000, b >= 1, and p/q in [1, 10).
@@ -346,17 +346,17 @@ class TestFstr:
               for q in [2**a * 5**b] if q <= 2000
               for p in range(q, 10 * q) if (Fraction(p, q) * 10**5).denominator == 2]
         assert len(xs) > 200
-        assert [cli._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
+        assert [render._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
 
     def test_binary_ties(self):
         xs = list(binary_ties(random.Random(6)))
         assert len(xs) > 550
         assert all(x.denominator & (x.denominator - 1) == 0 for x in xs)
-        assert [cli._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
+        assert [render._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
 
     def test_halfway_operands(self):
         xs = list(halfway_operands(random.Random(3), 300))
-        assert [cli._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
+        assert [render._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
 
     def test_magnitudes_1e_minus_8_to_1e_200(self):
         rng = random.Random(7)
@@ -364,4 +364,4 @@ class TestFstr:
               * Fraction(10) ** e for e in range(-8, 201) for _ in range(10)]
         xs += [Fraction(10) ** e for e in range(-8, 201)]
         xs += [Fraction(10) ** e - Fraction(1, 10**12) for e in range(-8, 12)]
-        assert [cli._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]
+        assert [render._fstr(x) for x in xs] == [mp_nstr(x) for x in xs]

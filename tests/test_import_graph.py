@@ -1,4 +1,4 @@
-"""The command line runs on the standard library alone.
+"""The command line runs on the standard library alone, and its stages import in one direction.
 
 Each test starts a fresh interpreter with ``PYTHONPATH=src``, so that no
 module a test or pytest itself imported is counted.
@@ -40,6 +40,18 @@ def test_cli_import_loads_neither_mpmath_nor_dataclasses():
     # -S skips site, so that no site hook's imports are counted against the package.
     proc = python("-S", "-c", "import sys, seqopt.cli; "
                   "print(sorted({'mpmath', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# Imports run render <- verify <- cli: a stage loads no stage after it, nor argparse.
+@pytest.mark.parametrize("module, later", [
+    ("seqopt.render", ["argparse", "seqopt.cli", "seqopt.verify"]),
+    ("seqopt.verify", ["argparse", "seqopt.cli"]),
+])
+def test_stage_import_loads_no_later_stage(module, later):
+    proc = python("-S", "-c",
+                  f"import sys, {module}; print(sorted(set({later!r}) & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

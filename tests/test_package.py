@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import seqopt
-from seqopt import bounds, numbers, oracle
+from seqopt import bounds, cli, numbers, oracle, render, verify
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -44,6 +44,25 @@ def test_star_import_binds_exactly_the_public_names():
     namespace: dict = {}
     exec("from seqopt import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == NAMES
+
+
+# The names cli takes from the stage modules that define them.  The benchmark
+# tracer rebinds a function wherever a module holds the very same object, so
+# each must be that object, not a copy; _write is the one private name it binds.
+CLI_IMPORTS = [(verify, "run_verification"), (render, "_write")] + [
+    (render, name) for name in ("parse_csv", "parse_json", "render_csv", "render_json",
+                                "render_plain", "triangle_entries")]
+
+
+def test_cli_all_is_main_and_the_imported_public_names():
+    assert sorted(cli.__all__) == sorted(["main", *(n for _, n in CLI_IMPORTS if n != "_write")])
+
+
+@pytest.mark.parametrize("module, name", CLI_IMPORTS,
+                         ids=[f"{module.__name__}.{name}" for module, name in CLI_IMPORTS])
+def test_cli_binds_its_imports_to_the_defining_modules_object(module, name):
+    assert getattr(cli, name) is getattr(module, name)
+    assert getattr(module, name).__module__ == module.__name__
 
 
 def test_version_matches_pyproject():

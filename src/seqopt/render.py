@@ -337,7 +337,6 @@ def _write_pieces(out, pieces) -> None:
         _write(out, "".join(batch))
 
 
-
 def _comma_line(label: str, texts):
     """The line ``label`` + ",".join(texts), piece by piece."""
     yield label

@@ -971,7 +971,7 @@ class TestBoundsCommand:
         for n in range(1, 21):
             row = bounds.ocmax_row(mask, n)
             texts = render._power_fraction_strs(bounds.h_dot(n, mask),
-                                             bounds.ocmax_cofactors(mask, n))
+                                                bounds.ocmax_cofactors(mask, n))
             assert list(texts) == [render._exact_str(row[m]) for m in mask.support(n)], n
 
 

@@ -41,16 +41,17 @@ long running value by a short factor once per term.  The sum is reduced
 over the denominator's known factors, (n-1)! * (n!)**k and b**(n-1),
 never by a gcd of two numbers as long as the sum.
 
-Everything stays rational.  e**x, e, ln(n-1) and pi enter only as
+Everything stays rational.  e**x, e, ln(n-1) and pi**2/6 enter only as
 enclosures lo <= c <= hi with ``Fraction`` ends.  e**x, e and ln(n-1)
 are ``decimal``'s correctly rounded ``Context.exp`` and ``Context.ln`` at
 p significant digits, each end moved one unit outward unless the result
 is exact (e**0 = 1, ln 1 = 0); e**x takes x rounded down and up to p
-digits.  pi alone keeps a series, Machin's formula, summed in integers
-rounded outward at every step.  A comparison or a ceiling is decided
-from an enclosure once both ends agree; p doubles from 20 digits until
-they do, and past 5120 digits (beyond the 4932 of 2**14 bits) the step
-raises ``RuntimeError``.  The ratio checks keep the fixed 1e-12
+digits.  pi**2/6 = zeta(2) alone keeps a series, 3 * sum over j >= 1 of
+1/(j**2 * C(2j, j)) (van der Poorten, 1979), summed in integers with
+each term rounded outward.  A comparison or a ceiling is decided from an
+enclosure once both ends agree; p doubles from 20 digits until they do,
+and past 5120 digits (beyond the 4932 of 2**14 bits) the step raises
+``RuntimeError``.  The ratio checks keep the fixed 1e-12
 acceptance margin on top of the bound.
 """
 
@@ -324,35 +325,27 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-def _atan_bounds(p: int, q: int, scale: int) -> tuple[int, int]:
-    """(lo, hi) with lo <= scale * atan(t) <= hi, t = p/q, 0 <= t <= 1/2.
+def _zeta2_enclosure(digits: int) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= pi**2/6 <= hi, from zeta(2) = 3 * sum_{j>=1} 1/(j**2 * C(2j, j)).
 
-    atan(t) is the sum of (-1)**i * t**(2i+1) / (2i+1).  Each term is
-    rounded outward; the sum stops at the first term whose upper end is
-    at most 1, and what follows is within twice that term either way, as
-    t**2 <= 1/4.
+    The series is A. van der Poorten's ("A proof that Euler missed", Math.
+    Intelligencer 1, 1979), summed in integers at scale 10**digits with
+    C(2j, j) stepped by the exact factor 2(2j-1)/j.  Each term is rounded
+    outward, its floor into lo and its ceiling into hi; the sum stops at
+    the first term whose upper end is at most one unit.  Term j+1 is term
+    j times j**2 / (2(j+1)(2j+1)) < 1/4, so the terms not summed add up
+    to less than a third of the last one, below one unit, which hi adds.
     """
-    pp, qq = p * p, q * q
-    pow_lo, pow_hi = p * scale // q, -(-p * scale // q)  # scale * t**(2i+1)
-    lo = hi = 0
-    d = 1
-    while pow_hi > 1:
-        term_lo, term_hi = pow_lo // d, -(-pow_hi // d)
-        if d % 4 == 1:
-            lo, hi = lo + term_lo, hi + term_hi
-        else:
-            lo, hi = lo - term_hi, hi - term_lo
-        pow_lo, pow_hi = pow_lo * pp // qq, -(-pow_hi * pp // qq)
-        d += 2
-    return lo - 2 * pow_hi, hi + 2 * pow_hi
-
-
-def _pi_enclosure(digits: int) -> tuple[Fraction, Fraction]:
-    """(lo, hi) with lo <= pi <= hi, from Machin's pi = 16 atan(1/5) - 4 atan(1/239) at scale 10**digits."""
     scale = 10**digits
-    a_lo, a_hi = _atan_bounds(1, 5, scale)
-    b_lo, b_hi = _atan_bounds(1, 239, scale)
-    return Fraction(16 * a_lo - 4 * b_hi, scale), Fraction(16 * a_hi - 4 * b_lo, scale)
+    lo = hi = 0
+    j, central, term_hi = 0, 1, 2
+    while term_hi > 1:
+        j += 1
+        central = central * 2 * (2 * j - 1) // j
+        d = j * j * central
+        term_hi = -(-3 * scale // d)
+        lo, hi = lo + 3 * scale // d, hi + term_hi
+    return Fraction(lo, scale), Fraction(hi + 1, scale)
 
 
 def tail_threshold(mask: Mask, n: int, m1: int) -> int:
@@ -361,10 +354,11 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     Returns ceil(e*k*c_1*(ln(n-1) + 1) + e*(pi**2/6)*sum_{p>=2} c_p*comb(k, p))
     plus m1, with natural logarithms.  The ceiling is exact: it is taken
     once both ends of the enclosure share it.  e and ln(n-1) come from
-    ``decimal``'s correctly rounded exp and ln widened by one unit, pi
-    from Machin's series, all at 20 significant digits and doubling, up
-    to 5120.  The row mass strictly beyond index M + offset - 1 then
-    stays within e**-m1; see tail_probability.
+    ``decimal``'s correctly rounded exp and ln widened by one unit,
+    pi**2/6 from zeta(2)'s series 3 * sum 1/(j**2 * C(2j, j)) (van der
+    Poorten, 1979), all at 20 significant digits and doubling, up to
+    5120.  The row mass strictly beyond index M + offset - 1 then stays
+    within e**-m1; see tail_probability.
     """
     if mask.bits[0] != 0:
         raise ValueError("mask has first bit 1; its upper tail is not concentrated, "
@@ -380,11 +374,9 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     while digits <= _CAP_DIGITS:
         e_lo, e_hi = _exp_enclosure(Fraction(1), digits)
         ln_lo, ln_hi = _enclosure(Context.ln, Decimal(n - 1), Decimal(n - 1), digits)
-        pi_lo, pi_hi = _pi_enclosure(digits)
-        # Every end but pi_lo at 1 digit (-0.8) is nonnegative, and pi_lo**2
-        # stays below pi**2 there too, so the ends combine end by end.
-        lo = e_lo * (c1 * (ln_lo + 1) + c2 * pi_lo**2 / 6)
-        hi = e_hi * (c1 * (ln_hi + 1) + c2 * pi_hi**2 / 6)
+        z_lo, z_hi = _zeta2_enclosure(digits)
+        lo = e_lo * (c1 * (ln_lo + 1) + c2 * z_lo)
+        hi = e_hi * (c1 * (ln_hi + 1) + c2 * z_hi)
         if ceil(lo) == ceil(hi):
             return ceil(hi) + m1
         digits *= 2

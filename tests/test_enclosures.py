@@ -2,7 +2,8 @@
 
 The package decides e**x comparisons and the tail threshold from
 enclosures with rational ends (``decimal``'s exp and ln widened by one
-unit, and Machin's series for pi) and formats previews in integers.
+unit, and van der Poorten's series for zeta(2) = pi**2/6) and formats
+previews in integers.
 Here each is checked against mpmath, a test-only dependency: the
 50-digit formulas the enclosures replaced, reference values at higher
 precision, and ``mpmath.nstr``, whose output the formatter reproduces.
@@ -135,27 +136,29 @@ class TestExpBounds:
         assert bounds._exp_enclosure(Fraction(0), 20) == (1, 1)
 
 
+def check_zeta2(digits: int) -> None:
+    """Check that _zeta2_enclosure(digits) encloses zeta(2), within 2 * digits + 2 units."""
+    lo, hi = bounds._zeta2_enclosure(digits)
+    with mpmath.workdps(digits + 60):
+        assert_encloses(lo, hi, mpmath.zeta(2))
+    # a unit per term rounded outward, about 1.66 terms a digit, and the tail's unit
+    assert (hi - lo) * 10**digits <= 2 * digits + 2, digits
+
+
 class TestSeriesBounds:
     @pytest.mark.parametrize("digits", [1, 2, 3, 8, 20, 64, 301])
     def test_log_and_pi(self, digits):
+        check_zeta2(digits)
         with mpmath.workdps(digits + 60):
-            pi_lo, pi_hi = bounds._pi_enclosure(digits)
-            assert_encloses(pi_lo, pi_hi, mpmath.pi)
-            # each Machin term costs at most a unit or two, over about digits terms
-            assert (pi_hi - pi_lo) * 10**digits <= 16 * (digits + 8)
             assert bounds._enclosure(Context.ln, Decimal(1), Decimal(1), digits) == (0, 0)
             for m in [*range(2, 200), 1023, 1024, 1025, 10**6 + 3]:
                 lo, hi = bounds._enclosure(Context.ln, Decimal(m), Decimal(m), digits)
                 assert_encloses(lo, hi, mpmath.log(m))
                 assert hi - lo <= 2 * unit(hi, digits)
 
-    def test_atan(self):
-        for p, q in [(1, 2), (1, 3), (2, 5), (1, 239), (0, 7), (7, 15)]:
-            for w in (0, 1, 2, 3, 4, 10, 100, 1000):
-                for scale in (2**w, 10**w):
-                    with mpmath.workprec(w * 4 + 200):
-                        lo, hi = bounds._atan_bounds(p, q, scale)
-                        assert lo <= mpmath.atan(mpmath.mpf(p) / q) * scale <= hi
+    def test_zeta2_at_every_precision(self):
+        for digits in [*range(1, 65), 301, 1000]:
+            check_zeta2(digits)
 
 
 # ------------------------------------------------------------ exp_bound_holds
@@ -221,7 +224,8 @@ class TestTailThreshold:
         masks = [m for m in ALL_MASKS if m.bits[0] == 0]
         assert len(masks) == 14
         for mask in masks:
-            for n in range(2, 401):
+            # past 10**20, ln(n-1) is enclosed from an argument longer than 20 digits
+            for n in [*range(2, 401), 10**6, 10**12, 10**40, 2**64 + 1]:
                 core = mp_tail_core(mask, n)
                 assert [bounds.tail_threshold(mask, n, m1) for m1 in (1, 2, 3)] == \
                     [core + 1, core + 2, core + 3], (str(mask), n)

@@ -49,10 +49,9 @@ is exact (e**0 = 1, ln 1 = 0); e**x takes x rounded down and up to p
 digits.  pi**2/6 = zeta(2) alone keeps a series, 3 * sum over j >= 1 of
 1/(j**2 * C(2j, j)) (van der Poorten, 1979), summed in integers with
 each term rounded outward.  A comparison or a ceiling is decided from an
-enclosure once both ends agree; p doubles from 20 digits until they do,
-and past 5120 digits (beyond the 4932 of 2**14 bits) the step raises
-``RuntimeError``.  The ratio checks keep the fixed 1e-12
-acceptance margin on top of the bound.
+enclosure once both ends agree; p steps up the ladder ``_DIGITS`` until
+they do, and past its last rung the step raises ``RuntimeError``.  The
+ratio checks keep the fixed 1e-12 acceptance margin on top of the bound.
 """
 
 from __future__ import annotations
@@ -67,10 +66,10 @@ from typing import NamedTuple
 from .numbers import Mask, _row, f_weight, g_weight
 
 MARGIN = Fraction(1, 10**12)
-# Enclosures start at _START_DIGITS significant digits and double until
-# they settle; 20 digits are about 64 bits, 5120 pass the 4932 of 2**14 bits.
-_START_DIGITS = 20
-_CAP_DIGITS = 5120
+# The precisions, in significant digits, at which every enclosure decision
+# is tried in turn: 20 (about 64 bits), doubling to 20 * 2**8 = 5120, the
+# first rung past the 4932 digits of 2**14 bits; past the last it is refused.
+_DIGITS = tuple(20 << i for i in range(9))
 
 __all__ = [
     "BoundReport",
@@ -116,22 +115,20 @@ def exp_bound_holds(lhs: Fraction, exponent) -> bool:
     e**exponent + 1e-12 is irrational unless exponent is 0, so some
     enclosure of e**exponent settles the comparison: ``_exp_enclosure``,
     from ``decimal``'s correctly rounded exp widened by one unit, at
-    20 significant digits and doubling, up to 5120.  lhs is only
+    each precision of ``_DIGITS`` in turn.  lhs is only
     cross-multiplied against the enclosure's ends, never divided or
     reduced.
     """
     if lhs <= MARGIN:
         return True  # e**exponent > 0, so no enclosure is needed
     x = Fraction(exponent)
-    digits = _START_DIGITS
-    while digits <= _CAP_DIGITS:
+    for digits in _DIGITS:
         lo, hi = _exp_enclosure(x, digits)
         if lhs <= lo + MARGIN:
             return True
         if lhs > hi + MARGIN:
             return False
-        digits *= 2
-    raise RuntimeError(f"lhs is within {_CAP_DIGITS} digits of e**{x} + {MARGIN}: undecided")
+    raise RuntimeError(f"lhs is within {_DIGITS[-1]} digits of e**{x} + {MARGIN}: undecided")
 
 
 def h_dots(mask: Mask, max_n: int):
@@ -356,8 +353,8 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     once both ends of the enclosure share it.  e and ln(n-1) come from
     ``decimal``'s correctly rounded exp and ln widened by one unit,
     pi**2/6 from zeta(2)'s series 3 * sum 1/(j**2 * C(2j, j)) (van der
-    Poorten, 1979), all at 20 significant digits and doubling, up to
-    5120.  The row mass strictly beyond index M + offset - 1 then stays
+    Poorten, 1979), all at each precision of ``_DIGITS`` in turn.  The
+    row mass strictly beyond index M + offset - 1 then stays
     within e**-m1; see tail_probability.
     """
     if mask.bits[0] != 0:
@@ -370,8 +367,7 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
     k, bits = mask.k, mask.bits
     c1 = k * bits[1]
     c2 = sum(bits[p] * comb(k, p) for p in range(2, k + 1))
-    digits = _START_DIGITS
-    while digits <= _CAP_DIGITS:
+    for digits in _DIGITS:
         e_lo, e_hi = _exp_enclosure(Fraction(1), digits)
         ln_lo, ln_hi = _enclosure(Context.ln, Decimal(n - 1), Decimal(n - 1), digits)
         z_lo, z_hi = _zeta2_enclosure(digits)
@@ -379,8 +375,7 @@ def tail_threshold(mask: Mask, n: int, m1: int) -> int:
         hi = e_hi * (c1 * (ln_hi + 1) + c2 * z_hi)
         if ceil(lo) == ceil(hi):
             return ceil(hi) + m1
-        digits *= 2
-    raise RuntimeError(f"tail threshold of mask {mask} at n={n} is within {_CAP_DIGITS} "
+    raise RuntimeError(f"tail threshold of mask {mask} at n={n} is within {_DIGITS[-1]} "
                        "digits of an integer: undecided")
 
 

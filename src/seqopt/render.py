@@ -13,6 +13,10 @@ the power of lam's numerator and the reduced power of its denominator
 are kept as running ``Decimal`` products, and the reduction comes from
 gcds of small integers, so no huge ``Fraction`` is reduced, no huge int
 converted and no huge ``Decimal`` divided by a long one.
+On the pure-Python ``decimal`` (``_pydecimal``) every command prints the
+same bytes as long as no number it forms passes 4300 digits; past that,
+``_pydecimal`` multiplies through ``str(int)``, whose default digit limit
+raises ``ValueError`` (``bounds --mask 01 --n 300``, for one).
 """
 
 from __future__ import annotations
@@ -30,8 +34,11 @@ from operator import itemgetter
 from . import numbers
 
 # Ints of at most 2**_LEAF_LOG2 bits convert directly; larger ones split at
-# bit 2**(e-1).  _POW2[e] is Decimal(2) ** 2**e, shared by every conversion
-# of the process; a lost or repeated store only recomputes an exact value.
+# bit 2**(e-1).  _POW2[e] is 2**(2**e) as a Decimal, shared by every
+# conversion of the process; a lost or repeated store only recomputes an
+# exact value.  Each is the square of the power one level down, never
+# Decimal(2) ** 2**e: the pure-Python decimal's power slows with the
+# context's precision, which numbers._EXACT sets to MAX_PREC.
 _LEAF_LOG2 = 11
 _POW2: dict[int, Decimal] = {}
 
@@ -44,7 +51,8 @@ def _int_to_decimal(n: int) -> Decimal:
     half = 1 << (e - 1)
     pow2 = _POW2.get(e - 1)
     if pow2 is None:
-        pow2 = _POW2[e - 1] = Decimal(2) ** half
+        root = _int_to_decimal(1 << (half >> 1))
+        pow2 = _POW2[e - 1] = root * root
     hi = n >> half
     return _int_to_decimal(n - (hi << half)) + _int_to_decimal(hi) * pow2
 

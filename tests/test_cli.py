@@ -1255,6 +1255,20 @@ class TestExactStr:
         assert errors == []
         assert got == want
 
+    def test_pure_python_decimal_forms_the_split_powers(self):
+        # With _decimal blocked, decimal loads _pydecimal, whose power slows
+        # with the context's precision, MAX_PREC under numbers._EXACT: a
+        # split power raised with ** never returns.  3**1300 to 3**8000 have
+        # 621 to 3817 digits, past 2**2048 and under str(int)'s default limit.
+        code = ("import sys; sys.modules['_decimal'] = None; sys.path.insert(0, sys.argv[1])\n"
+                "import decimal, _pydecimal; assert decimal.Context is _pydecimal.Context\n"
+                "from seqopt import render\n"
+                "bad = [b for b in (1300, 2000, 5000, 8000) if render._exact_str(3**b) != str(3**b)]\n"
+                "sys.exit(f'wrong digits for 3**b, b in {bad}' if bad else 0)")
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
     def test_bounds_past_several_splits_equal_a_builtin_str_reference(self, capsys):
         mask, n = Mask.stirling(), 150
         rep = bounds.ratio_report(mask, n)

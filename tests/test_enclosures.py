@@ -14,7 +14,7 @@ import random
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, log10
 
 import mpmath
 import pytest
@@ -212,9 +212,19 @@ class TestExpBoundHolds:
     def test_raises_past_the_cap(self, monkeypatch):
         with mpmath.workdps(80):
             edge = mp_fraction(mpmath.e + mpmath.mpf(10) ** -12)
-        monkeypatch.setattr(bounds, "_CAP_DIGITS", 40)
+        monkeypatch.setattr(bounds, "_DIGITS", (20, 40))
         with pytest.raises(RuntimeError, match="undecided"):
             bounds.exp_bound_holds(edge + Fraction(1, 10**60), 1)
+
+
+# ---------------------------------------------------------------- the ladder
+
+def test_the_precision_ladder_doubles_from_20_to_the_first_rung_past_2_14_bits():
+    ladder = bounds._DIGITS
+    assert ladder[0] == 20
+    assert all(b == 2 * a for a, b in zip(ladder, ladder[1:]))
+    digits_14 = 2**14 * log10(2)  # the 4932 digits of 2**14 bits
+    assert ladder[-2] < digits_14 < ladder[-1]
 
 
 # ------------------------------------------------------------- tail_threshold
@@ -231,13 +241,14 @@ class TestTailThreshold:
                     [core + 1, core + 2, core + 3], (str(mask), n)
 
     def test_raises_past_the_cap(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_CAP_DIGITS", bounds._START_DIGITS - 1)
+        # 1 digit cannot settle the ceiling, and no rung follows it.
+        monkeypatch.setattr(bounds, "_DIGITS", (1,))
         with pytest.raises(RuntimeError, match="undecided"):
             bounds.tail_threshold(Mask.stirling(), 10, 1)
 
     def test_doubles_the_precision_until_the_ceiling_settles(self, monkeypatch):
-        # 20 digits settle every ceiling at once; from 1 digit the loop must
-        # double through 2 and 4 to the same answer.
+        # 20 digits settle every ceiling at once; on a ladder from 1 digit the
+        # loop must step through 2 and 4 to the same answer.
         cases = [(mask, n) for mask in ALL_MASKS if mask.bits[0] == 0 for n in (2, 10, 300)]
         assert len(cases) == 42
         want = [bounds.tail_threshold(mask, n, 1) for mask, n in cases]
@@ -249,7 +260,7 @@ class TestTailThreshold:
                 raise AssertionError(f"precision never settled: {seen}")
             return real(x, digits)
 
-        monkeypatch.setattr(bounds, "_START_DIGITS", 1)
+        monkeypatch.setattr(bounds, "_DIGITS", tuple(1 << i for i in range(13)))
         monkeypatch.setattr(bounds, "_exp_enclosure", spy)
         for (mask, n), w in zip(cases, want):
             seen.clear()

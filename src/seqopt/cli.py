@@ -1,7 +1,8 @@
 """Command line front end: triangles, verification, polynomials, bounds, Stirling diff.
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
-3 I/O error.  Identical invocations produce byte-identical output.
+3 I/O error, such as a failed write to ``--out`` or to stdout (a closed
+pipe, a full disk).  Identical invocations produce byte-identical output.
 Rendering and output live in ``seqopt.render``, verify's checks in
 ``seqopt.verify``.  ``stirling`` diffs the live rows of the mask fold and
 the reference fold, writing each mismatch line as it is found.
@@ -14,29 +15,28 @@ refuses (``''``, a directory, ``file/``) exits 3 before any work.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from decimal import Decimal
 from itertools import chain, tee, zip_longest
 
 from . import bounds, numbers, oracle
 from .render import (_chunks, _comma_line, _exact_str, _fstr, _power_fraction_strs, _sink,
-                     _write, _write_pieces, parse_csv, parse_json, render_csv, render_json,
-                     render_plain, triangle_entries)
+                     _write_pieces)
+# Bound here for the benchmark tracer, which wraps them on seqopt.cli: the commands
+# call _write and run_verification, only the tracer reads the four render names, and
+# benchmarks/test_bench.py pins _TRIANGLE_FACTORY.  They go with the tracer (ROADMAP item 3).
+from .render import _write, render_csv, render_json, render_plain, triangle_entries
 from .verify import run_verification
+
+_TRIANGLE_FACTORY = numbers.triangle
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-# Unread by the program; benchmarks/test_bench.py pins it.  Goes with the tracer (ROADMAP item 3).
-_TRIANGLE_FACTORY = numbers.triangle
-
-__all__ = [
-    "main", "run_verification",
-    "render_csv", "render_json", "render_plain", "parse_csv", "parse_json",
-    "triangle_entries",
-]
+__all__ = ["main"]
 
 
 # ----------------------------------------------------------------- commands
@@ -187,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact masked-record permutation triangles, bounds and checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, mask=True, n_default=None, n_type=_positive_int):
+    def common(sp, run, *, mask=True, n_default=None, n_type=_positive_int):
+        sp.set_defaults(run=run)
         if mask:
             sp.add_argument("--mask", type=_mask_arg, required=True,
                             help="bit string c0c1...ck, e.g. 01")
@@ -196,37 +197,28 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="write output to this path")
 
     sp = sub.add_parser("triangle", help="print rows 1..n of the triangle")
-    common(sp, n_default=50)
+    common(sp, cmd_triangle, n_default=50)
     sp.add_argument("--format", choices=("csv", "json", "plain"), default="plain", dest="fmt")
 
     sp = sub.add_parser("verify", help="run every identity check, PASS/FAIL per line")
-    common(sp, n_default=10)
+    common(sp, cmd_verify, n_default=10)
     sp.add_argument("--oracle", action="store_true", dest="use_oracle",
                     help="also diff rows against the exhaustive enumeration")
     sp.add_argument("--budget", type=_positive_int, default=oracle.DEFAULT_BUDGET,
                     help="max permutation tuples the oracle may cover, (n!)^k per row")
 
     sp = sub.add_parser("poly", help="expand the generating product of row n")
-    common(sp)
+    common(sp, cmd_poly)
     sp.add_argument("--kind", choices=("rising", "falling"), default="rising")
     sp.add_argument("--zeros", action="store_true", help="append the exact roots")
 
     sp = sub.add_parser("bounds", help="upper bounds, tail and ratio report for row n")
-    common(sp, n_type=_bounds_n)
+    common(sp, cmd_bounds, n_type=_bounds_n)
     sp.add_argument("--m1", type=_m1_list, default=(1, 2, 3), help="comma-separated tail margins")
 
     sp = sub.add_parser("stirling", help="diff mask 01 against the classic recurrence")
-    common(sp, mask=False, n_default=30)
+    common(sp, cmd_stirling, mask=False, n_default=30)
     return parser
-
-
-_HANDLERS = {
-    "triangle": cmd_triangle,
-    "verify": cmd_verify,
-    "poly": cmd_poly,
-    "bounds": cmd_bounds,
-    "stirling": cmd_stirling,
-}
 
 
 def main(argv=None) -> int:
@@ -235,12 +227,38 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # The pure-Python decimal multiplies through str(int), so the command runs
+    # without int's digit limit; the arguments were parsed under it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         with _sink(args.out) as out:
-            return _HANDLERS[args.command](args, out)
+            return args.run(args, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.out is None:
+            _discard_stdout()
         return EXIT_IO
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device after a failed write to it.
+
+    What stdout still buffers then cannot fail again when the interpreter
+    flushes it at exit (the "Note on SIGPIPE" in Python's ``signal`` docs).
+    A stdout without a descriptor, such as a test's capture, is left alone.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

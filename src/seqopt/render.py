@@ -14,9 +14,7 @@ are kept as running ``Decimal`` products, and the reduction comes from
 gcds of small integers, so no huge ``Fraction`` is reduced, no huge int
 converted and no huge ``Decimal`` divided by a long one.
 On the pure-Python ``decimal`` (``_pydecimal``) every command prints the
-same bytes as long as no number it forms passes 4300 digits; past that,
-``_pydecimal`` multiplies through ``str(int)``, whose default digit limit
-raises ``ValueError`` (``bounds --mask 01 --n 300``, for one).
+same bytes as on the C ``decimal``, more slowly.
 """
 
 from __future__ import annotations
@@ -300,6 +298,9 @@ def _sink(path: str | None):
     """
     if path is None:
         yield sys.stdout
+        # A failed write to buffered stdout raises here, inside the command's
+        # error handling, and not when the interpreter flushes it at exit.
+        sys.stdout.flush()
         return
     if not (os.path.isfile(path) or (path and not os.path.exists(path)
                                      and os.path.isdir(os.path.dirname(path) or "."))):

@@ -14,7 +14,7 @@ from itertools import product
 from math import factorial, prod
 from pathlib import Path
 
-from seqopt import bounds, cli, numbers, oracle
+from seqopt import bounds, cli, numbers, oracle, render
 from seqopt.numbers import Mask
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -179,13 +179,13 @@ def test_c11_cli_contract(capsys, tmp_path, monkeypatch):
 
     code, out = run("triangle", "--mask", "01", "--n", "4", "--format", "csv")
     ok &= code == 0 and out == (GOLDEN / "triangle_01_n4.csv").read_text()
-    ok &= cli.render_csv(cli.parse_csv(out)) == out
+    ok &= render.render_csv(render.parse_csv(out)) == out
     notes.append("csv golden+roundtrip")
 
     code, out = run("triangle", "--mask", "011", "--n", "3", "--format", "json")
     ok &= code == 0 and out == (GOLDEN / "triangle_011_n3.json").read_text()
-    ok &= cli.render_json(cli.parse_json(out)) == out
-    ok &= cli.parse_json(out) == numbers.triangle(Mask.from_string("011"), 3)
+    ok &= render.render_json(render.parse_json(out)) == out
+    ok &= render.parse_json(out) == numbers.triangle(Mask.from_string("011"), 3)
     notes.append("json golden+roundtrip")
 
     code, out = run("poly", "--mask", "01", "--n", "3", "--zeros")

@@ -94,34 +94,34 @@ class TestTriangleCommand:
 
     def test_csv_round_trip_is_byte_identical(self, capsys):
         _, out, _ = run(capsys, "triangle", "--mask", "101", "--n", "6", "--format", "csv")
-        entries = cli.parse_csv(out)
-        assert cli.render_csv(entries) == out
-        assert entries == cli.triangle_entries(triangle(Mask.from_string("101"), 6))
+        entries = render.parse_csv(out)
+        assert render.render_csv(entries) == out
+        assert entries == render.triangle_entries(triangle(Mask.from_string("101"), 6))
 
     def test_csv_cut_mid_entry_is_rejected(self, capsys):
         _, out, _ = run(capsys, "triangle", "--mask", "101", "--n", "6", "--format", "csv")
         for cut in (out[:-1], out[:-2]):
             with pytest.raises(ValueError, match="newline"):
-                cli.parse_csv(cut)
+                render.parse_csv(cut)
 
     def test_csv_without_its_header_is_rejected(self, capsys):
         _, out, _ = run(capsys, "triangle", "--mask", "101", "--n", "3", "--format", "csv")
         for text in (out.split("\n", 1)[1], ""):
             with pytest.raises(ValueError, match="^missing n,m,value header$"):
-                cli.parse_csv(text)
+                render.parse_csv(text)
 
     def test_json_k_that_disagrees_with_its_mask_is_rejected(self, capsys):
         _, out, _ = run(capsys, "triangle", "--mask", "101", "--n", "3", "--format", "json")
         data = json.loads(out)
         data["k"] = 3
         with pytest.raises(ValueError, match="k field 3 does not match mask 101"):
-            cli.parse_json(json.dumps(data))
+            render.parse_json(json.dumps(data))
 
     def test_json_round_trip_is_byte_identical(self, capsys):
         _, out, _ = run(capsys, "triangle", "--mask", "10", "--n", "5", "--format", "json")
-        tri = cli.parse_json(out)
+        tri = render.parse_json(out)
         assert tri == triangle(Mask.from_string("10"), 5)
-        assert cli.render_json(tri) == out
+        assert render.render_json(tri) == out
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
@@ -263,6 +263,26 @@ def test_benchmark_trace_bindings_resolve():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["triangle", "verify", "poly", "bounds", "stirling"])
+def test_the_parser_dispatches_each_subcommand_to_its_handler(command):
+    argv = [command, "--n", "3"] + ([] if command == "stirling" else ["--mask", "01"])
+    assert cli.build_parser().parse_args(argv).run is getattr(cli, f"cmd_{command}")
+
+
+def _child(argv, stdout, buffered):
+    """``python -m seqopt.cli *argv`` started with the given stdout and a stderr pipe.
+
+    Its stdout is block-buffered, as without PYTHONUNBUFFERED, unless
+    ``buffered`` is false.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "seqopt.cli", *argv], env=env, stdout=stdout,
+                            stderr=subprocess.PIPE, text=True)
+
+
 class TestExitCodes:
     def test_bad_mask_is_usage_error(self, capsys):
         code, _, err = run(capsys, "triangle", "--mask", "XY", "--n", "3")
@@ -285,6 +305,42 @@ class TestExitCodes:
         assert "error" in err
         assert "'/no-such-directory/t.csv'" in err
         assert ".tmp" not in err
+
+    # Buffered stdout, as without PYTHONUNBUFFERED, fails only when flushed.
+    # That flush is the command's own, so the failure is one error line and
+    # exit 3, not the interpreter's "Exception ignored" report at exit.
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_stdout_on_a_full_device_is_an_io_error(self, buffered):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        with open("/dev/full", "w") as full:
+            with _child(["stirling", "--n", "5"], full, buffered) as proc:
+                err = proc.stderr.read()
+        assert proc.returncode == 3
+        assert re.fullmatch(r"error: \[Errno 28\] [^\n]*\n", err)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_stdout_to_a_closed_pipe_is_an_io_error(self, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with _child(["stirling", "--n", "5"], write_end, buffered) as proc:
+                err = proc.stderr.read()
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert re.fullmatch(r"error: \[Errno 32\] [^\n]*\n", err)
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_stdout_closed_mid_command_is_an_io_error(self, buffered):
+        # As `| head -1`: the reader takes one line of many megabytes and goes.
+        argv = ["triangle", "--mask", "011", "--n", "300", "--format", "csv"]
+        with _child(argv, subprocess.PIPE, buffered) as proc:
+            assert proc.stdout.readline() == "n,m,value\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 3
+        assert re.fullmatch(r"error: \[Errno 32\] [^\n]*\n", err)
 
     def test_m1_below_one_is_usage_error(self, capsys):
         code, out, err = run(capsys, "bounds", "--mask", "01", "--n", "3", "--m1", "0")
@@ -333,7 +389,7 @@ class TestExitCodes:
         (tmp_path / "keep.txt").write_bytes(b"known bytes\n")
         monkeypatch.chdir(tmp_path / "sub" if name == "" else tmp_path)
         calls = []
-        monkeypatch.setitem(cli._HANDLERS, "stirling", lambda args, out: calls.append(args) or 0)
+        monkeypatch.setattr(cli, "cmd_stirling", lambda args, out: calls.append(args) or 0)
 
         def tree():
             return {str(p): p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
@@ -1140,6 +1196,18 @@ class TestIntStrGuard:
         assert "--m1" in err
         assert "digits" in err
         assert len(err.encode()) < 300
+
+    def test_pure_python_decimal_prints_past_the_digit_limit(self, capsys):
+        # _pydecimal multiplies through str(int); the longest number of this
+        # report has 6059 digits, past the default limit of 4300.
+        argv = ["bounds", "--mask", "01", "--n", "120"]
+        code = ("import sys; sys.modules['_decimal'] = None; sys.path.insert(0, sys.argv[1])\n"
+                "import decimal, _pydecimal; assert decimal.Context is _pydecimal.Context\n"
+                "from seqopt import cli; sys.exit(cli.main(sys.argv[2:]))")
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run(capsys, *argv)[1]
 
     def test_malformed_ints_echo_a_clip(self, capsys):
         code, _, err = run(capsys, "bounds", "--mask", "01", "--n", "3", "--m1", "1,x" + "y" * 500)

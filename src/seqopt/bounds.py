@@ -272,14 +272,13 @@ def _power_sum(cs: list[int], apow, bpow, lo: int, hi: int) -> int:
             + apow(mid - lo) * _power_sum(cs, apow, bpow, mid, hi))
 
 
-def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
+def upper_ratio(mask: Mask, n: int) -> Fraction:
     """Row total of the upper bounds divided by (n!)**k, exactly.
 
     Same value as sum(ocmax_row(mask, n).values()) / (n!)**k but
     assembled on a single integer common denominator, whose numerator
     is summed by halving (see the module docstring) from the terms of
-    ocmax_cofactors.  lam, if given, must be h_dot(n, mask); it is
-    computed when omitted.
+    ocmax_cofactors.
 
     The numerator acc is reduced over its denominator S * b**(n-1), S =
     (n-1)! * (n!)**k, by g = gcd(acc, S), whose short operand makes it
@@ -289,8 +288,7 @@ def upper_ratio(mask: Mask, n: int, lam: Fraction | None = None) -> Fraction:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if lam is None:
-        lam = h_dot(n, mask)
+    lam = h_dot(n, mask)
     a, b = lam.numerator, lam.denominator
     fact_n1 = factorial(n - 1)
     # cs[t-1] = P_t * q, q = (n-1)!/(t-1)!, is term t over (n-1)! * b**(n-1) * (n!)**k
@@ -450,7 +448,7 @@ def ratio_report(mask: Mask, n: int) -> BoundReport:
     comp = mask.complement()
     lam = h_dot(n, mask)
     lam_prime = h_dot(n, comp)
-    ratio = upper_ratio(mask, n, lam)
-    ratio_prime = upper_ratio(comp, n, lam_prime)
+    ratio = upper_ratio(mask, n)
+    ratio_prime = upper_ratio(comp, n)
     return BoundReport(lam, lam_prime, ratio, ratio_prime, exp_bound_holds(ratio, lam),
                        exp_bound_holds(ratio_prime, lam_prime))

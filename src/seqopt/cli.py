@@ -2,7 +2,8 @@
 
 Exit codes: 0 all good, 1 a mathematical check failed, 2 usage error,
 3 I/O error, such as a failed write to ``--out`` or to stdout (a closed
-pipe, a full disk).  Identical invocations produce byte-identical output.
+pipe, a full disk), or running out of memory.  Identical invocations
+produce byte-identical output.
 Rendering and output live in ``seqopt.render``, verify's checks in
 ``seqopt.verify``.  ``stirling`` diffs the live rows of the mask fold and
 the reference fold, writing each mismatch line as it is found.
@@ -239,6 +240,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if args.out is None:
             _discard_stdout()
+        return EXIT_IO
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_IO
     finally:
         if limit is not None:

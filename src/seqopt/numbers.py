@@ -228,24 +228,6 @@ def row_entries(mask: Mask, urow) -> dict:
     return {u + off: c for u, c in enumerate(urow) if c}
 
 
-def row_slots(mask: Mask, n: int, cells: dict) -> list:
-    """Unsigned row n as a slot list, from its entries ``{m: value}``; inverts row_entries.
-
-    Entry m goes to slot m - offset + 1.  An entry that no row n holds,
-    one off the support or one that is not positive, goes past slot n,
-    so the list is longer than n + 1 exactly when ``cells`` holds one.
-    ``verify`` lays the oracle's histogram on slots through it.
-    """
-    row = [0] * (n + 1)
-    for m, v in cells.items():
-        u = m - mask.offset + 1
-        if 1 <= u <= n and v > 0:
-            row[u] = v
-        else:
-            row.append(v)
-    return row
-
-
 class Triangle(NamedTuple):
     """Exact rows 1..max_n for one mask; zero entries are not stored."""
 
@@ -271,13 +253,10 @@ def triangle(mask: Mask, max_n: int) -> Triangle:
 
 
 def value(mask: Mask, n: int, m: int) -> int:
-    """Triangle entry at (n, m); zero outside the support [offset, n-1+offset]."""
+    """Triangle entry at (n, m); zero where row n holds no entry."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    u = m - mask.offset + 1
-    if u < 1 or u > n:
-        return 0
-    return _row(mask, n)[u]
+    return row_entries(mask, _row(mask, n)).get(m, 0)
 
 
 def explicit_row(mask: Mask, n: int) -> list[int]:

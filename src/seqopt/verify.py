@@ -97,7 +97,7 @@ def run_verification(mask: numbers.Mask, max_n: int, *, use_oracle: bool = False
             except oracle.BudgetError:
                 over = n
             else:
-                if numbers.row_slots(mask, n, counts) == row:
+                if len(row) == n + 1 and numbers.row_entries(mask, row) == counts:
                     matched = n
                 else:
                     differs = n

@@ -65,12 +65,12 @@ class TestOcmax:
         assert ocmax(Mask.from_string("10"), 3, 3) == 0
 
     def test_tight_at_bottom_of_support(self):
-        for mask in all_masks(2):
+        for mask in all_masks(3):
             for n in range(1, 8):
                 assert ocmax(mask, n, mask.offset) == value(mask, n, mask.offset)
 
     def test_dominates_triangle(self):
-        for mask in all_masks(2):
+        for mask in all_masks(3):
             tri = triangle(mask, 10)
             for n in range(1, 11):
                 row = ocmax_row(mask, n)
@@ -78,7 +78,7 @@ class TestOcmax:
                     assert row[m] >= tri.rows[n].get(m, 0)
 
     def test_row_matches_single_entry_formula(self):
-        for mask in all_masks(2):
+        for mask in all_masks(3):
             for n in (1, 2, 5, 9):
                 assert ocmax_row(mask, n) == {m: ocmax(mask, n, m) for m in mask.support(n)}
 
@@ -121,7 +121,7 @@ class TestOcmax:
         assert next(ocmax_cofactors(mask, 5)) == (value(mask, 5, mask.offset), 1)
 
     def test_cross_dominance_through_complement(self):
-        for mask in all_masks(2):
+        for mask in all_masks(3):
             comp = mask.complement()
             for n in range(1, 9):
                 for m in mask.support(n):
@@ -194,7 +194,7 @@ class TestTailProbability:
         assert tail_probability(Mask.from_string("10"), 4, -1) == 1
 
     def test_within_exponential_bound(self):
-        for mask in all_masks(2):
+        for mask in all_masks(3):
             if mask.bits[0] != 0:
                 continue
             for n in (5, 9):
@@ -214,7 +214,7 @@ class TestMirroredTail:
                 assert thr == tail_threshold(mask.complement(), n, m1)
 
     def test_equals_complement_upper_tail(self):
-        for mask in all_masks(2):
+        for mask in all_masks(3):
             if mask.bits[0] != 1:
                 continue
             comp = mask.complement()
@@ -262,7 +262,7 @@ class TestRatioReport:
         assert rep.ratio_ok and rep.ratio_prime_ok
 
     def test_ratio_at_least_one(self):
-        for mask in all_masks(2):
+        for mask in all_masks(3):
             rep = ratio_report(mask, 7)
             assert rep.ratio >= 1
             assert rep.ratio_prime >= 1

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import seqopt.cli as cli
-from seqopt import bounds, numbers, render
+from seqopt import bounds, numbers, oracle, render
 from seqopt.numbers import Mask, triangle
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,6 +52,23 @@ def editing_rows(monkeypatch, mask, target, edit):
     monkeypatch.setattr(numbers, "_unsigned_rows", rows)
 
 
+def row_slots(mask, n, cells):
+    """Unsigned row n as a slot list, from its entries ``{m: value}``; inverts row_entries.
+
+    Entry m goes to slot m - offset + 1.  An entry that no row n holds,
+    one off the support or one that is not positive, goes past slot n,
+    so the list is longer than n + 1 exactly when ``cells`` holds one.
+    """
+    row = [0] * (n + 1)
+    for m, v in cells.items():
+        u = m - mask.offset + 1
+        if 1 <= u <= n and v > 0:
+            row[u] = v
+        else:
+            row.append(v)
+    return row
+
+
 def changing_rows(monkeypatch, mask, target, change):
     """editing_rows, with change(cells) editing row ``target``'s entries {m: value} in place.
 
@@ -61,7 +78,7 @@ def changing_rows(monkeypatch, mask, target, change):
     def edit(urow):
         cells = numbers.row_entries(mask, urow)
         change(cells)
-        return numbers.row_slots(mask, target, cells)
+        return row_slots(mask, target, cells)
 
     editing_rows(monkeypatch, mask, target, edit)
 
@@ -306,6 +323,20 @@ class TestExitCodes:
         assert "'/no-such-directory/t.csv'" in err
         assert ".tmp" not in err
 
+    def test_out_of_memory_is_an_io_error(self, capsys, monkeypatch, tmp_path):
+        # Exit 1 means a check failed; a MemoryError is one line and exit 3,
+        # and the --out file it was writing is left as it was.
+        def exhausted(j, vec):
+            raise MemoryError
+
+        monkeypatch.setattr(numbers, "f_weight", exhausted)
+        target = tmp_path / "verify.txt"
+        target.write_text("old contents\n")
+        code, out, err = run(capsys, "verify", "--mask", "01", "--n", "5", "--out", str(target))
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+        assert target.read_text() == "old contents\n"
+        assert os.listdir(tmp_path) == ["verify.txt"]
+
     # Buffered stdout, as without PYTHONUNBUFFERED, fails only when flushed.
     # That flush is the command's own, so the failure is one error line and
     # exit 3, not the interpreter's "Exception ignored" report at exit.
@@ -441,6 +472,29 @@ class TestVerifyCommand:
         changing_rows(monkeypatch, mask, 4, plus_one)
         results = cli.run_verification(mask, 4, use_oracle=True)
         assert results[-1] == ("oracle", "FAIL", "exhaustive histogram disagrees at n=4")
+
+    @pytest.mark.parametrize("text", ["01", "011", "10", "1001"])
+    def test_oracle_cell_above_the_support_fails(self, monkeypatch, text):
+        # No row n holds an entry at m = n + offset, so a histogram with one
+        # there disagrees with every fold row.
+        real = oracle.histogram
+
+        def histogram(mask, n, budget=oracle.DEFAULT_BUDGET):
+            counts = real(mask, n, budget).counts
+            return oracle.Histogram({**counts, n + mask.offset: 1})
+
+        monkeypatch.setattr(oracle, "histogram", histogram)
+        results = cli.run_verification(Mask.from_string(text), 4, use_oracle=True)
+        assert results[-1] == ("oracle", "FAIL", "exhaustive histogram disagrees at n=1")
+
+    @pytest.mark.parametrize("text", ["01", "011", "10", "1001"])
+    def test_oracle_trailing_zero_slot_fails(self, monkeypatch, text):
+        # A zero slot past slot n holds no entry, so only the row's length
+        # tells the row from the histogram.
+        mask = Mask.from_string(text)
+        editing_rows(monkeypatch, mask, 3, lambda urow: [*urow, 0])
+        results = cli.run_verification(mask, 4, use_oracle=True)
+        assert results[-1] == ("oracle", "FAIL", "exhaustive histogram disagrees at n=3")
 
     def test_subset_limit_is_not_an_option(self, capsys):
         # The explicit-sum cap is numbers.DEFAULT_SUBSET_LIMIT, not a setting.
@@ -813,12 +867,12 @@ class TestFoldSlotChecks:
 
 
 class TestRowSlots:
-    """numbers.row_slots lays a row's {m: value} entries onto the fold's slots."""
+    """row_slots, the fault injector's inverse, lays a row's {m: value} entries onto slots."""
 
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
     def test_inverts_row_entries(self, mask):
         for n, urow in enumerate(numbers._unsigned_rows(mask, 12), 1):
-            assert numbers.row_slots(mask, n, numbers.row_entries(mask, urow)) == urow
+            assert row_slots(mask, n, numbers.row_entries(mask, urow)) == urow
 
     @pytest.mark.parametrize("mask", MASKS_K_UP_TO_3, ids=str)
     def test_row_entries_of_a_correct_row_lie_on_the_support(self, mask):
@@ -837,7 +891,7 @@ class TestRowSlots:
                 cells[n + mask.offset] = 1
             else:
                 cells[first] = 0 if where == "zero" else -cells[first]
-            row = numbers.row_slots(mask, n, cells)
+            row = row_slots(mask, n, cells)
             # verify's support rule, on a slot list.
             assert not (len(row) == n + 1 and row[0] == 0 and min(row) >= 0), mask
 
